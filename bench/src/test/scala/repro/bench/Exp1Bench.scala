@@ -14,9 +14,9 @@ import repro.harness.Experiments
   * Hard assertions cover only what must hold structurally (equal results
   * across methods is covered by unit tests; here: size reduction, and the
   * Shared_Data advantage where the paper's margin is an order of
-  * magnitude). Timing rows are printed for EXPERIMENTS.md.
+  * magnitude). Timing rows are printed beside the paper's.
   */
-class Exp1Bench extends BenchSpec {
+class Exp1Bench extends SparkSpec {
   private implicit val s: org.apache.spark.sql.SparkSession = spark
 
   test("TABLES V, VI and Fig. 11: Experiment 1") {

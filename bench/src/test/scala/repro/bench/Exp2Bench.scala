@@ -12,7 +12,7 @@ import repro.harness.Experiments
   * k (Full's 31.5 s at k=1 falls to 3.2 s at k=10; RTC's share is tiny
   * throughout), so Full/RTC falls with k while No/RTC stays flat-to-rising.
   */
-class Exp2Bench extends BenchSpec {
+class Exp2Bench extends SparkSpec {
   private implicit val s: org.apache.spark.sql.SparkSession = spark
 
   test("TABLES VII and VIII: Experiment 2") {

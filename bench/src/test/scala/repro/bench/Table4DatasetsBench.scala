@@ -10,7 +10,7 @@ import repro.harness.Experiments
   * to the paper's published sizes; asserts that the degree — the
   * experiments' controlled variable — matches the paper's within 10%.
   */
-class Table4DatasetsBench extends BenchSpec {
+class Table4DatasetsBench extends SparkSpec {
 
   test("TABLE IV: dataset statistics") {
     val paperDegrees = Map("Yago2s" -> 0.02, "Robots" -> 0.52,

@@ -2,19 +2,23 @@ package repro.jobs
 
 import org.apache.spark.sql.SparkSession
 
-/** Shared SparkSession builder for job entrypoints — mirrors the test
-  * configuration (broadcast joins disabled so shuffle paths are exercised).
+/** The one SparkSession builder, shared by the job entrypoints, the tests
+  * and the bench suites. Broadcast joins are disabled so shuffle paths are
+  * exercised; shuffles use one partition per local core, since adaptive
+  * execution coalesces the small shuffles of these graphs anyway.
+  * `SPARK_MASTER` (default `local[*]`) selects the deployment.
   */
 object JobSession {
   def build(app: String): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(s"repro-$app")
-      .config("spark.sql.shuffle.partitions",
-              sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
+      .config("spark.sql.shuffle.partitions", Runtime.getRuntime.availableProcessors.toLong)
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      // Same workaround as SparkSpec: iterative self-unions of checkpointed
-      // plans trip a Catalyst constraint-rewrite bug.
+      // Iterative self-unions of localCheckpoint'ed plans (semi-naive TC)
+      // trip a Catalyst constraint-rewrite bug ("key not found: s#N" in
+      // UnionBase.rewriteConstraints); constraint propagation buys nothing
+      // for these tiny plans, so disable it.
       .config("spark.sql.constraintPropagation.enabled", false)
       .config("spark.ui.enabled", false)
       .getOrCreate()

@@ -1,70 +1,36 @@
 package repro.baselines
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.core.{Rpq, RpqEval}
+import repro.core.{Rpq, SharedCache, Sharing}
 import repro.graph.{LabeledGraph, Pairs, TransitiveClosure}
 import repro.harness.Metrics
-import scala.collection.mutable
 
-/** Cache of fully materialized `R+_G` relations keyed by canonical `R`. */
-final class FullCache {
-  private val plus = mutable.Map.empty[String, (DataFrame, Long)]
+/** Cache of fully materialized `R+_G` relations. `R+_G` is the semi-naive
+  * transitive closure of the edge-level reduced graph `G_R` (Lemma 1) —
+  * no vertex-level reduction — and is counted eagerly when built.
+  */
+final class FullCache extends SharedCache[DataFrame] {
+  def build(rg: DataFrame)(implicit spark: SparkSession): DataFrame =
+    TransitiveClosure.of(rg).localCheckpoint()
 
-  def getOrElseCompute(r: Rpq)(compute: => DataFrame): DataFrame =
-    plus.getOrElseUpdate(r.show, { val df = compute; (df, df.count()) })._1
+  def joinFrom(preG: DataFrame, rPlusG: DataFrame): DataFrame = Pairs.compose(preG, rPlusG)
 
-  def contains(r: Rpq): Boolean = plus.contains(r.show)
-  /** Total `R+_G` pairs across cached entries (shared-data size metric). */
-  def totalSize: Long = plus.values.map(_._2).sum
+  def sizeOf(rPlusG: DataFrame): Long = rPlusG.count()
 }
 
-/** FullSharing baseline (Abul-Basher [8], paper §V).
+/** FullSharing baseline (Abul-Basher [8], paper §V): [[Sharing.evaluate]]
+  * over a [[FullCache]].
   *
   * Shares the *full* evaluation result `R+_G` of the common sub-query
-  * among RPQs. `R+_G` is computed as the semi-naive transitive closure of
-  * the edge-level reduced graph `G_R` (Lemma 1) — no vertex-level
-  * reduction — and each batch unit is then evaluated as
-  * `Pre_G ⋈ R+_G ⋈ Post_G` with a duplicate-eliminating union after each
-  * join. Relative to RTCSharing this performs the paper's ''redundant-1'',
-  * ''redundant-2'' and ''useless-1'' operations: the join touches every
-  * `R+_G` pair and deduplicates at vertex granularity.
+  * among RPQs, and evaluates each batch unit as `Pre_G ⋈ R+_G ⋈ Post_G`
+  * with a duplicate-eliminating union after each join. Relative to
+  * RTCSharing this performs the paper's ''redundant-1'', ''redundant-2''
+  * and ''useless-1'' operations: the join touches every `R+_G` pair and
+  * deduplicates at vertex granularity.
   */
 object FullSharing {
-
-  /** Evaluates `q` on `g`, sharing `R+_G` through `cache`; same DNF/batch
-    * unit skeleton as RTCSharing so the two differ only in what is shared
-    * and how `Pre_G ⋈ R+_G` is performed.
-    */
   def evaluate(g: LabeledGraph, q: Rpq, cache: FullCache,
                metrics: Metrics = Metrics.discard)
-              (implicit spark: SparkSession): DataFrame = {
-    val clauseResults = Rpq.dnf(q).map { clause =>
-      val bu = Rpq.decompose(clause)
-      bu.typ match {
-        case None =>
-          metrics.time(Metrics.Remainder) {
-            RpqEval.evalWithoutKC(g, bu.post).localCheckpoint()
-          }
-        case Some(t) =>
-          val preG = evaluate(g, bu.pre, cache, metrics)
-          val rPlusG = cache.getOrElseCompute(bu.r) {
-            val rg = evaluate(g, bu.r, cache, metrics) // R_G: counted in Remainder
-            metrics.time(Metrics.SharedData) {
-              TransitiveClosure.of(rg).localCheckpoint()
-            }
-          }
-          val preJoined = metrics.time(Metrics.PreJoin) {
-            Pairs.compose(preG, rPlusG).localCheckpoint()
-          }
-          metrics.time(Metrics.Remainder) {
-            val withEps = if (t == '*') Pairs.union(preG, preJoined) else preJoined
-            val res =
-              if (bu.post == Rpq.Eps) withEps
-              else Pairs.compose(withEps, RpqEval.evalWithoutKC(g, bu.post))
-            res.localCheckpoint()
-          }
-      }
-    }
-    clauseResults.reduce(Pairs.union).localCheckpoint()
-  }
+              (implicit spark: SparkSession): DataFrame =
+    Sharing.evaluate(g, q, cache, metrics)
 }

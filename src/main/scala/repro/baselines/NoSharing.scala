@@ -29,7 +29,8 @@ object NoSharing {
     val nfa = Nfa.fromRpq(q)
     if (nfa.trans.isEmpty) {
       // Language is {ε} or ∅ — no labeled transition can ever fire.
-      return if (nfa.acceptsEmpty) Pairs.identity(g.vertices) else Pairs.empty(spark)
+      val identity = Pairs.identity(g.vertices)
+      return if (nfa.acceptsEmpty) identity else identity.limit(0)
     }
     val trans = nfa.trans.toDF("q", "lab", "q2").localCheckpoint()
 

@@ -2,36 +2,14 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.graph.{GraphData, LabeledGraph, Pairs}
+import repro.graph.{GraphData, LabeledGraph}
 import repro.harness.Metrics
-import scala.collection.mutable
 
-/** Cache of RTCs keyed by the canonical form of `R`, shared across the
-  * batch units of one or many RPQs (Algorithm 1 lines 9–11: "If the RTC
-  * for R exists, we reuse them").
-  */
-final class RtcCache {
-  private val rtcs = mutable.Map.empty[String, RtcData]
-
-  def getOrElseCompute(r: Rpq)(compute: => RtcData): RtcData =
-    rtcs.getOrElseUpdate(r.show, compute)
-
-  def contains(r: Rpq): Boolean = rtcs.contains(r.show)
-  def size: Int = rtcs.size
-  /** Total RTC pairs across cached entries (shared-data size metric). */
-  def totalRtcSize: Long = rtcs.values.map(_.rtcSize).sum
-}
-
-/** RTCSharing (paper §IV, Algorithms 1 and 2).
+/** Cache of RTCs (Algorithm 1 lines 9–11).
   *
-  * Algorithm 1: convert the query to DNF (outermost closures as literals),
-  * evaluate each clause as a batch unit `Pre · R^t · Post`, recursing into
-  * `Pre` and `R`, computing/reusing the RTC of `R`, and unioning clause
-  * results.
-  *
-  * Algorithm 2 (`EvalBatchUnit`) is expressed as the join chain of
-  * equations (6)–(10), with the paper's operation eliminations mapped to
-  * dataflow as follows:
+  * Algorithm 2 (`EvalBatchUnit`) up to the Post join is [[joinFrom]], the
+  * join chain of equations (7)–(9), with the paper's operation
+  * eliminations mapped to dataflow as follows:
   *
   *  - ''useless-1'': `R+` is evaluated by joining *from* `Pre_G` through
   *    the SCC relation and RTC — never by expanding `R+_G`.
@@ -40,74 +18,38 @@ final class RtcCache {
   *  - ''useless-2'': no duplicate check after the final `⋈ SCC` expansion
   *    (eq. (9)) — SCC member sets are disjoint, so none is needed.
   */
-object RtcSharing {
+final class RtcCache extends SharedCache[RtcData] {
   import GraphData.{Src, Dst}
 
-  /** Algorithm 1. Evaluates `q` on `g`, sharing RTCs through `cache`.
-    *
-    * @param metrics part-time accumulators (see [[Metrics]] keys)
-    * @return the `(s, d)` pair relation `q_G`
-    */
-  def evaluate(g: LabeledGraph, q: Rpq, cache: RtcCache,
-               metrics: Metrics = Metrics.discard)
-              (implicit spark: SparkSession): DataFrame = {
-    val clauseResults = Rpq.dnf(q).map { clause =>
-      val bu = Rpq.decompose(clause)
-      bu.typ match {
-        case None =>
-          // Clause has no Kleene closure: evaluate it whole (line 6).
-          metrics.time(Metrics.Remainder) {
-            RpqEval.evalWithoutKC(g, bu.post).localCheckpoint()
-          }
-        case Some(t) =>
-          // Lines 8–12: Pre recursively, RTC from cache or computed fresh.
-          val preG = evaluate(g, bu.pre, cache, metrics)
-          val rtcData = cache.getOrElseCompute(bu.r) {
-            // R_G is computed identically by Full/RTC sharing and is not
-            // part of Shared_Data (paper §V-B) — time it under Remainder.
-            val rg = evaluate(g, bu.r, cache, metrics)
-            metrics.time(Metrics.SharedData) { Rtc.compute(rg) }
-          }
-          evalBatchUnit(g, preG, rtcData, t, bu.post, metrics)
-      }
-    }
-    clauseResults.reduce(Pairs.union).localCheckpoint()
+  def build(rg: DataFrame)(implicit spark: SparkSession): RtcData = Rtc.compute(rg)
+
+  def joinFrom(preG: DataFrame, rtc: RtcData): DataFrame = {
+    // (7): Pre_G ⋈ SCC, unioned (redundant-1 elimination).
+    val eq7 = preG.alias("p")
+      .join(rtc.scc.alias("c"), col(s"p.$Dst") === col("c.v"))
+      .select(col(s"p.$Src").as(Src), col("c.scc").as("scc"))
+      .distinct()
+    // (8): ⋈ RTC, unioned (redundant-2 elimination).
+    val eq8 = eq7.alias("a")
+      .join(rtc.rtc.alias("t"), col("a.scc") === col("t.ss"))
+      .select(col(s"a.$Src").as(Src), col("t.es").as("scc"))
+      .distinct()
+    // (9): ⋈ SCC — no duplicate check (useless-2 elimination): the
+    // (s, scc) rows are distinct and SCC member sets are disjoint.
+    eq8.alias("b")
+      .join(rtc.scc.alias("c2"), col("b.scc") === col("c2.scc"))
+      .select(col(s"b.$Src").as(Src), col("c2.v").as(Dst))
   }
 
-  /** Algorithm 2 (`EvalBatchUnit`), as the join chain (6)–(10).
-    *
-    * Deviation noted in DESIGN.md: for `Type = *` the ε branch is included
-    * as `Pre_G` *before* the Post join (the literal Algorithm 2 line 11
-    * would skip Post on that branch), so
-    * `(Pre · R* · Post)_G = (Pre · Post)_G ∪ (Pre · R+ · Post)_G`.
-    */
-  private[core] def evalBatchUnit(g: LabeledGraph, preG: DataFrame, rtc: RtcData,
-                                  typ: Char, post: Rpq, metrics: Metrics)
-                                 (implicit spark: SparkSession): DataFrame = {
-    val eq9 = metrics.time(Metrics.PreJoin) {
-      // (7): Pre_G ⋈ SCC, unioned (redundant-1 elimination).
-      val eq7 = preG.alias("p")
-        .join(rtc.scc.alias("c"), col(s"p.$Dst") === col("c.v"))
-        .select(col(s"p.$Src").as(Src), col("c.scc").as("scc"))
-        .distinct()
-      // (8): ⋈ RTC, unioned (redundant-2 elimination).
-      val eq8 = eq7.alias("a")
-        .join(rtc.rtc.alias("t"), col("a.scc") === col("t.ss"))
-        .select(col(s"a.$Src").as(Src), col("t.es").as("scc"))
-        .distinct()
-      // (9): ⋈ SCC — no duplicate check (useless-2 elimination): the
-      // (s, scc) rows are distinct and SCC member sets are disjoint.
-      eq8.alias("b")
-        .join(rtc.scc.alias("c2"), col("b.scc") === col("c2.scc"))
-        .select(col(s"b.$Src").as(Src), col("c2.v").as(Dst))
-        .localCheckpoint()
-    }
-    metrics.time(Metrics.Remainder) {
-      val withEps = if (typ == '*') Pairs.union(preG, eq9) else eq9
-      val res =
-        if (post == Rpq.Eps) withEps
-        else Pairs.compose(withEps, RpqEval.evalWithoutKC(g, post)) // (10)
-      res.localCheckpoint()
-    }
-  }
+  def sizeOf(rtc: RtcData): Long = rtc.rtcSize
+}
+
+/** RTCSharing (paper §IV, Algorithms 1 and 2): [[Sharing.evaluate]] over
+  * an [[RtcCache]].
+  */
+object RtcSharing {
+  def evaluate(g: LabeledGraph, q: Rpq, cache: RtcCache,
+               metrics: Metrics = Metrics.discard)
+              (implicit spark: SparkSession): DataFrame =
+    Sharing.evaluate(g, q, cache, metrics)
 }

@@ -9,7 +9,7 @@ import repro.graph.LabeledGraph
   * alphabet size. Yago2s and Advogato are scaled down for local Spark;
   * DESIGN.md §3 documents each substitution.
   *
-  * @param paperV/paperE  sizes reported in Table IV (for EXPERIMENTS.md)
+  * @param paperV/paperE  sizes reported in Table IV (printed beside ours)
   */
 final case class DatasetSpec(name: String, numV: Long, numE: Long, numLabels: Int,
                              paperV: Long, paperE: Long, seed: Long) {

@@ -28,7 +28,9 @@ object QueryGen {
   def generate(labels: Seq[String], setsPerLength: Int, maxQueries: Int,
                seed: Long): Seq[RpqSet] = {
     require(labels.nonEmpty, "empty alphabet")
-    val rnd = new scala.util.Random(seed)
+    // Mix the seed first: the first draws of `java.util.Random` from small
+    // consecutive seeds are nearly equal.
+    val rnd = new scala.util.Random(new java.util.SplittableRandom(seed).nextLong())
     def label(): Rpq = Rpq.Lbl(labels(rnd.nextInt(labels.size)))
     for {
       len <- 1 to 3

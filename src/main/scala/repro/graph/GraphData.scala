@@ -2,7 +2,6 @@ package repro.graph
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types._
 
 /** An edge-labeled, directed multigraph `G = (V, E, f, Σ, l)` (paper §II-A).
   *
@@ -39,12 +38,6 @@ object GraphData {
   val Lbl = "label"
   val Dst = "d"
 
-  val edgeSchema: StructType = StructType(Seq(
-    StructField(Src, LongType, nullable = false),
-    StructField(Lbl, StringType, nullable = false),
-    StructField(Dst, LongType, nullable = false),
-  ))
-
   /** Builds a graph from in-memory triples — used by tests and examples. */
   def fromTuples(spark: SparkSession, triples: Seq[(Long, String, Long)]): LabeledGraph = {
     import spark.implicits._
@@ -60,10 +53,6 @@ object GraphData {
   */
 object Pairs {
   import GraphData.{Src, Dst}
-
-  /** Empty pair relation with the canonical `(s, d)` schema. */
-  def empty(spark: SparkSession): DataFrame =
-    spark.range(0).select(col("id").as(Src), col("id").as(Dst))
 
   /** Identity relation `{(v, v)}` over a one-column `v` vertex frame. */
   def identity(vertices: DataFrame): DataFrame =

@@ -10,11 +10,10 @@ import scala.collection.mutable
   * The paper uses Tarjan's algorithm [14] on `G_R`; `G_R` is small by
   * construction (it is the *reduced* graph), so like the paper we run
   * Tarjan in a single memory space (the driver) after collecting the edge
-  * relation. A fully distributed DataFrame variant lives in
-  * [[DistributedScc]] and is equivalence-tested against this one.
+  * relation.
   *
   * SCC ids are normalized to the minimum member VID so assignments are
-  * deterministic and comparable across implementations.
+  * deterministic.
   */
 object Scc {
   import GraphData.{Src, Dst}

@@ -5,8 +5,7 @@ import repro.data.{Datasets, DatasetSpec}
 
 /** Drivers for the paper's two experiments (§V-B), printing each table in
   * the paper's layout with the paper's published numbers alongside the
-  * measured ones so the shape can be diffed at a glance (EXPERIMENTS.md
-  * records a captured run).
+  * measured ones so the shape can be diffed at a glance.
   */
 object Experiments {
   import Harness._

@@ -1,8 +1,8 @@
 package repro.harness
 
 import org.apache.spark.sql.SparkSession
-import repro.baselines.{FullCache, FullSharing, NoSharing}
-import repro.core.{RtcCache, RtcSharing}
+import repro.baselines.{FullCache, NoSharing}
+import repro.core.{RtcCache, SharedCache, Sharing}
 import repro.data.QueryGen.RpqSet
 import repro.data.{Datasets, DatasetSpec, QueryGen}
 import repro.graph.LabeledGraph
@@ -71,32 +71,26 @@ object Harness {
                     (implicit spark: SparkSession): PerQueryRun = {
     Console.err.println(s"[harness] method=${method.name} kMax=$kMax R=${set.r.show}")
     val queries = set.queries.take(kMax)
-    val rtcCache = new RtcCache
-    val fullCache = new FullCache
+    val cache: Option[SharedCache[_]] = method match {
+      case Rtc  => Some(new RtcCache)
+      case Full => Some(new FullCache)
+      case No   => None
+    }
     var sharedMsTotal = 0.0
     val pre = Seq.newBuilder[Double]; val rem = Seq.newBuilder[Double]
     val wall = Seq.newBuilder[Double]; val rows = Seq.newBuilder[Long]
     for (q <- queries) {
       val m = new Metrics
       val t0 = System.nanoTime()
-      val n = method match {
-        case Rtc  => RtcSharing.evaluate(g, q, rtcCache, m).count()
-        case Full => FullSharing.evaluate(g, q, fullCache, m).count()
-        case No   => NoSharing.evaluate(g, q).count()
-      }
+      val n = cache.fold(NoSharing.evaluate(g, q))(Sharing.evaluate(g, q, _, m)).count()
       wall += (System.nanoTime() - t0) / 1e6
       sharedMsTotal += m.ms(Metrics.SharedData)
       pre += m.ms(Metrics.PreJoin)
       rem += m.ms(Metrics.Remainder)
       rows += n
     }
-    val sharedSize = method match {
-      case Rtc  => rtcCache.totalRtcSize
-      case Full => fullCache.totalSize
-      case No   => 0L
-    }
     PerQueryRun(method, sharedMsTotal, pre.result(), rem.result(),
-      wall.result(), sharedSize, rows.result())
+      wall.result(), cache.fold(0L)(_.totalSize), rows.result())
   }
 
   /** Evaluates the first `k` queries of `set` on `g` under `method`. */

@@ -3,14 +3,14 @@ package repro
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
+import repro.jobs.JobSession
 
-/** Base for every test: one local-mode SparkSession for the whole run.
+/** Base for every test and bench suite: one local-mode SparkSession for
+  * the whole run, built by [[JobSession.build]].
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Broadcast joins are disabled so shuffle/join papers actually
-  * exercise the shuffle path at SF~=0.1; re-enable per-query if the
-  * paper's contribution is the broadcast side.
+  * limit).
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
@@ -20,20 +20,9 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
 
 object SparkSpec {
   lazy val shared: SparkSession = {
-    val s = SparkSession.builder
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName("repro")
-      .config("spark.sql.shuffle.partitions",
-              sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      // Iterative self-unions of localCheckpoint'ed plans (semi-naive TC,
-      // SCC coloring) trip a Catalyst constraint-rewrite bug
-      // ("key not found: s#N" in UnionBase.rewriteConstraints); constraint
-      // propagation buys nothing for these tiny plans, so disable it.
-      .config("spark.sql.constraintPropagation.enabled", false)
-      .getOrCreate()
+    val s = JobSession.build("test")
     // One line in test output that tells the driver whether the cgroup
-    // derivation saw the real limit (README § Spark target).
+    // derivation saw the real limit (README, environment knobs).
     Console.err.println(
       s"[SparkSpec] driverMem=${sys.env.getOrElse("SPARK_DRIVER_MEM", "(unset)")} " +
       s"master=${s.sparkContext.master} " +

@@ -101,7 +101,8 @@ class RtcSharingSpec extends SparkSpec {
         s"query $q seed $seed")
     }
 
-  for (seed <- 1 to 3; q <- Seq("a.b+.c", "(a.b)+", "a.(b.c)+.d", "b+.a"))
+  for (seed <- 1 to 3; q <- Seq("a.b+.c", "(a.b)+", "a.(b.c)+.d", "b+.a",
+                                "(a.b)*.b+.(a.b+.c)+", "a+|b.c"))
     test(s"RTCSharing ≡ FullSharing ≡ NoSharing: '$q' seed $seed") {
       val labels = Seq("a", "b", "c", "d")
       val triples = TestKit.randomTriples(numV = 10, numE = 34, numLabels = 4, seed = 1100 + seed)

@@ -87,6 +87,11 @@ class DataSpec extends SparkSpec {
     assert(a.map(_.r) == b.map(_.r))
     assert(a.map(_.queries) == b.map(_.queries))
   }
+  test("small consecutive seeds do not all draw the same first R") {
+    val firsts = (1 to 5).map(seed =>
+      QueryGen.generate(Seq("l0", "l1", "l2", "l3"), 1, 10, seed).head.r)
+    assert(firsts.distinct.size > 1, s"seeds 1-5 all start with ${firsts.head}")
+  }
   test("generates setsPerLength sets for each R length 1..3") {
     val sets = QueryGen.generate(labels, 2, 10, seed = 1)
     assert(sets.size == 6)

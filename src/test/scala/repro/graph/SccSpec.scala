@@ -4,8 +4,7 @@ import repro.{SparkSpec, TestKit}
 import org.apache.spark.sql.functions.col
 
 /** SCC computation: iterative Tarjan vs brute-force mutual reachability,
-  * the distributed coloring variant vs Tarjan, and condensation rules of
-  * the vertex-level reduction (paper §III-B).
+  * and condensation rules of the vertex-level reduction (paper §III-B).
   */
 class SccSpec extends SparkSpec {
   import spark.implicits._
@@ -91,26 +90,4 @@ class SccSpec extends SparkSpec {
         "proper condensation edges must form a DAG")
     }
   }
-
-  // ---------------------------------------------------- distributed SCC
-
-  private def distOf(edges: Seq[(Long, Long)]): Map[Long, Long] =
-    DistributedScc.assign(edges.toDF("s", "d"))
-      .collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
-
-  test("DistributedScc: two-cycle") {
-    assert(distOf(Seq((1L, 2L), (2L, 1L))) == Map(1L -> 1L, 2L -> 1L))
-  }
-  test("DistributedScc: chain of trivial SCCs") {
-    assert(distOf(Seq((1L, 2L), (2L, 3L))) == Map(1L -> 1L, 2L -> 2L, 3L -> 3L))
-  }
-  test("DistributedScc: paper Example 5 graph") {
-    assert(distOf(Seq((2L, 4L), (2L, 6L), (3L, 5L), (4L, 2L), (5L, 3L))) ==
-      Map(2L -> 2L, 4L -> 2L, 6L -> 6L, 3L -> 3L, 5L -> 3L))
-  }
-  for (seed <- 1 to 8)
-    test(s"DistributedScc matches Tarjan on random graph, seed $seed") {
-      val edges = TestKit.randomEdges(numV = 15, numE = 30, seed = 400 + seed)
-      assert(distOf(edges) == tarjanOf(edges))
-    }
 }
