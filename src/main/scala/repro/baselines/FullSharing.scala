@@ -1,17 +1,19 @@
 package repro.baselines
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.core.{Rpq, SharedCache, Sharing}
-import repro.graph.{LabeledGraph, Pairs, TransitiveClosure}
+import repro.core.{Rpq, Rtc, SharedCache, Sharing}
+import repro.graph.{LabeledGraph, Pairs}
 import repro.harness.Metrics
 
-/** Cache of fully materialized `R+_G` relations. `R+_G` is the semi-naive
-  * transitive closure of the edge-level reduced graph `G_R` (Lemma 1) —
-  * no vertex-level reduction — and is counted eagerly when built.
+/** Cache of fully materialized `R+_G` relations, counted eagerly when
+  * built. `R+_G = TC(G_R)` (Lemma 1) is built with RTCSharing's closure
+  * engine: the one-pass RTC build, then its Theorem-1 expansion in Spark.
+  * Only the structure shared differs from [[repro.core.RtcCache]]: the
+  * whole `R+_G` instead of the SCC relation and the RTC.
   */
 final class FullCache extends SharedCache[DataFrame] {
   def build(rg: DataFrame)(implicit spark: SparkSession): DataFrame =
-    TransitiveClosure.of(rg).localCheckpoint()
+    Rtc.expand(Rtc.compute(rg)).localCheckpoint()
 
   def joinFrom(preG: DataFrame, rPlusG: DataFrame): DataFrame = Pairs.compose(preG, rPlusG)
 

@@ -77,6 +77,11 @@ object Sharing {
           }
       }
     }
-    clauseResults.reduce(Pairs.union).localCheckpoint()
+    // Each clause result is already materialized; only a union of several
+    // is new work.
+    clauseResults match {
+      case Seq(only) => only
+      case many      => many.reduce(Pairs.union).localCheckpoint()
+    }
   }
 }

@@ -5,9 +5,11 @@ import org.apache.spark.sql.functions._
 
 /** Semi-naive transitive closure over an unlabeled edge relation `(s, d)`.
   *
-  * This is the distributed-dataflow workhorse of the reproduction: both
-  * `R+_G = TC(G_R)` (Lemma 1, used by FullSharing) and the RTC
-  * `TC(Ḡ_R)` (Section III-C) are computed by this delta iteration:
+  * This is the reference closure: [[repro.core.RpqEval.eval]] evaluates
+  * `R+` with it (Lemma 1), and the tests check the shared structures of
+  * RTCSharing and FullSharing against it. Neither sharing method calls it;
+  * both build from [[repro.core.Rtc.compute]]'s driver pass. It computes
+  * the delta iteration
   *
   * {{{
   *   TC_0 = E;  Δ_0 = E

@@ -51,6 +51,15 @@ class FullSharingSpec extends SparkSpec {
     assert(cache.totalSize == 3) // (1,2),(2,4),(1,4)
   }
 
+  test("FullCache.build(G_R) equals brute-force TC(G_R) on random G_R") {
+    import spark.implicits._
+    for (seed <- 1 to 6) {
+      val edges = TestKit.randomEdges(numV = 20, numE = 15 * seed, seed = 1400 + seed)
+      assert(Pairs.collectSet(new FullCache().build(edges.toDF("s", "d"))) == TestKit.bruteTc(edges),
+        s"seed $seed")
+    }
+  }
+
   for (seed <- 1 to 4; q <- Seq("a+", "a.b+.c", "(a.b)+", "d.(b.c)+.c", "a.b*.c", "(a|b)+"))
     test(s"FullSharing ≡ NFA reference: '$q' seed $seed") {
       val labels = Seq("a", "b", "c", "d")

@@ -48,14 +48,41 @@ class RtcSpec extends SparkSpec {
     }
   }
 
-  for (seed <- 1 to 10)
-    test(s"Theorem 1: RTC expansion equals TC(G_R), random seed $seed") {
-      val edges = TestKit.randomEdges(numV = 18, numE = 40, seed = 800 + seed)
+  /** Sparse random edges plus self-loops on some of their trivial SCCs. */
+  private def selfLoopsOnTrivial(seed: Long): Seq[(Long, Long)] = {
+    val edges = TestKit.randomEdges(numV = 20, numE = 24, seed = seed)
+    val scc = TestKit.bruteScc(edges)
+    val sizes = scc.groupMapReduce(_._2)(_ => 1)(_ + _)
+    val trivial = scc.collect { case (v, c) if sizes(c) == 1 => v }
+    (edges ++ trivial.toSeq.sorted.take(4).map(v => (v, v))).distinct
+  }
+
+  private val theorem1Inputs: Seq[(String, Seq[(Long, Long)])] =
+    (1 to 10).map(seed =>
+      s"random seed $seed" -> TestKit.randomEdges(numV = 18, numE = 40, seed = 800 + seed)) ++
+    (1 to 3).map(seed =>
+      s"dense seed $seed (one giant SCC)" -> TestKit.randomEdges(numV = 30, numE = 150, seed = 850 + seed)) ++
+    (1 to 3).map(seed => s"self-loops on trivial SCCs, seed $seed" -> selfLoopsOnTrivial(870 + seed)) ++
+    Seq("acyclic chain" -> (0L until 30L).map(i => (i, i + 1)),
+        "empty G_R" -> Seq.empty[(Long, Long)])
+
+  for ((name, edges) <- theorem1Inputs)
+    test(s"Theorem 1: RTC expansion equals TC(G_R), $name") {
       val df = edges.toDF("s", "d")
       val viaRtc = Pairs.collectSet(Rtc.expand(Rtc.compute(df)))
       val direct = Pairs.collectSet(TransitiveClosure.of(df))
       assert(viaRtc == direct)
     }
+
+  test("driver guard: a build past the budget fails naming |G_R|, n, bytes and budget") {
+    assert(Rtc.reachBytes(0) == 0 && Rtc.reachBytes(64) == 64 * 8 && Rtc.reachBytes(65) == 65 * 16)
+    Rtc.requireDriverMemory(grEdges = 10, components = 5, "5 reach bitsets", bytes = 100, budget = 100)
+    val need = Rtc.reachBytes(300)
+    val e = intercept[IllegalStateException](
+      Rtc.requireDriverMemory(grEdges = 1000, components = 300, "300 reach bitsets", need, budget = 4096))
+    for (part <- Seq("|G_R| = 1000", "n = 300", s"$need bytes", "budget of 4096 bytes"))
+      assert(e.getMessage.contains(part), e.getMessage)
+  }
 
   test("vertex-level reduction effectiveness: dense graph shrinks hard") {
     // Degree-dense random graph: giant SCC, so |RTC| << |TC(G_R)|.
