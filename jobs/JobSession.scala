@@ -3,8 +3,10 @@ package repro.jobs
 import org.apache.spark.sql.SparkSession
 
 /** The one SparkSession builder, shared by the job entrypoints, the tests
-  * and the bench suites. Broadcast joins are disabled so shuffle paths are
-  * exercised; shuffles use one partition per local core, since adaptive
+  * and the bench suites. Spark picks no broadcast join by its own size
+  * estimate (the threshold is -1); the sharing caches hint their shared
+  * relations for broadcast by exact size (`SharedCache`), and every other
+  * join shuffles. Shuffles use one partition per local core, since adaptive
   * execution coalesces the small shuffles of these graphs anyway.
   * `SPARK_MASTER` (default `local[*]`) selects the deployment.
   */

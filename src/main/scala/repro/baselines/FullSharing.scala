@@ -9,15 +9,21 @@ import repro.harness.Metrics
   * built. `R+_G = TC(G_R)` (Lemma 1) is built with RTCSharing's closure
   * engine: the one-pass RTC build, then its Theorem-1 expansion in Spark.
   * Only the structure shared differs from [[repro.core.RtcCache]]: the
-  * whole `R+_G` instead of the SCC relation and the RTC.
+  * whole `R+_G` instead of the SCC relation and the RTC, under the same
+  * broadcast size rule.
   */
-final class FullCache extends SharedCache[DataFrame] {
-  def build(rg: DataFrame)(implicit spark: SparkSession): DataFrame =
-    Rtc.expand(Rtc.compute(rg)).localCheckpoint()
+final class FullCache private[repro] (broadcastBytes: Long)
+    extends SharedCache[DataFrame](broadcastBytes) {
+
+  def this() = this(SharedCache.BroadcastBytes)
+
+  def build(rg: DataFrame)(implicit spark: SparkSession): (DataFrame, Long) = {
+    val rPlusG = Rtc.expand(Rtc.compute(rg)).localCheckpoint()
+    val pairs = rPlusG.count()
+    (sized(rPlusG, pairs), pairs)
+  }
 
   def joinFrom(preG: DataFrame, rPlusG: DataFrame): DataFrame = Pairs.compose(preG, rPlusG)
-
-  def sizeOf(rPlusG: DataFrame): Long = rPlusG.count()
 }
 
 /** FullSharing baseline (Abul-Basher [8], paper §V): [[Sharing.evaluate]]

@@ -14,7 +14,9 @@ package repro.core
   * }}}
   */
 sealed trait Rpq {
-  /** Canonical fully-parenthesis-free rendering; also the RTC cache key. */
+  /** Rendering with the fewest parentheses; [[SharedCache]] keys on the
+    * rendering of a canonical form of `R`.
+    */
   def show: String = this match {
     case Rpq.Eps       => "ε"
     case Rpq.Lbl(l)    => l

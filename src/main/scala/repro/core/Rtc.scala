@@ -11,10 +11,11 @@ import repro.graph.{GraphData, Scc}
   *                of `G_R` with the SCC containing it
   * @param rtc     relation `R̄+_G(START_S, END_S)` as columns `(ss, es)` —
   *                the transitive closure of the condensed graph `Ḡ_R`
+  * @param sccSize number of rows of `scc`, the vertices of `G_R`
   * @param rtcSize number of pairs in the RTC (the paper's shared-data size
   *                for RTCSharing, Fig. 11)
   */
-final case class RtcData(scc: DataFrame, rtc: DataFrame, rtcSize: Long)
+final case class RtcData(scc: DataFrame, rtc: DataFrame, sccSize: Long, rtcSize: Long)
 
 object Rtc {
   import GraphData.{Src, Dst}
@@ -56,9 +57,9 @@ object Rtc {
     * has an internal edge — more than one member, or a self-loop — so the
     * RTC never fabricates `(v, v)` pairs.
     *
-    * Both relations are built on the driver as one DataFrame each; the
-    * sizes are checked against [[driverBudget]] before anything is
-    * allocated for them.
+    * Both relations are built on the driver as one DataFrame each, with
+    * their row counts; the sizes are checked against [[driverBudget]]
+    * before anything is allocated for them.
     *
     * @param rg the edge relation of `G_R`, i.e. `R_G` (`(s, d)` pairs)
     */
@@ -96,7 +97,7 @@ object Rtc {
         w &= w - 1
       }
     }
-    RtcData(c.relation.toDF("v", "scc"), rows.toSeq.toDF("ss", "es"), pairs)
+    RtcData(c.relation.toDF("v", "scc"), rows.toSeq.toDF("ss", "es"), c.vertices.length, pairs)
   }
 
   /** Theorem 1: materializes `R+_G` from the RTC —

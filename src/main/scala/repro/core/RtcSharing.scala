@@ -17,31 +17,45 @@ import repro.harness.Metrics
   *  - ''redundant-2'': `DISTINCT` after `⋈ RTC` (eq. (8)).
   *  - ''useless-2'': no duplicate check after the final `⋈ SCC` expansion
   *    (eq. (9)) — SCC member sets are disjoint, so none is needed.
+  *
+  * The SCC relation and the RTC are small (Fig. 11), so each joins by
+  * broadcast when it fits the limit. When both do, `Pre_G` is
+  * hash-partitioned by its start vertex `s` once; every later step keeps
+  * `s` in its key, so both `DISTINCT`s run inside their partitions.
   */
-final class RtcCache extends SharedCache[RtcData] {
+final class RtcCache private[repro] (broadcastBytes: Long)
+    extends SharedCache[RtcData](broadcastBytes) {
   import GraphData.{Src, Dst}
 
-  def build(rg: DataFrame)(implicit spark: SparkSession): RtcData = Rtc.compute(rg)
+  def this() = this(SharedCache.BroadcastBytes)
+
+  def build(rg: DataFrame)(implicit spark: SparkSession): (RtcData, Long) = {
+    val rtc = Rtc.compute(rg)
+    (rtc, rtc.rtcSize)
+  }
 
   def joinFrom(preG: DataFrame, rtc: RtcData): DataFrame = {
+    val scc = sized(rtc.scc, rtc.sccSize)
+    val closure = sized(rtc.rtc, rtc.rtcSize)
+    // A shuffle join would partition by its join key, so partitioning by s
+    // pays only when all three joins broadcast.
+    val pre = if (fits(rtc.sccSize) && fits(rtc.rtcSize)) preG.repartition(col(Src)) else preG
     // (7): Pre_G ⋈ SCC, unioned (redundant-1 elimination).
-    val eq7 = preG.alias("p")
-      .join(rtc.scc.alias("c"), col(s"p.$Dst") === col("c.v"))
+    val eq7 = pre.alias("p")
+      .join(scc.alias("c"), col(s"p.$Dst") === col("c.v"))
       .select(col(s"p.$Src").as(Src), col("c.scc").as("scc"))
       .distinct()
     // (8): ⋈ RTC, unioned (redundant-2 elimination).
     val eq8 = eq7.alias("a")
-      .join(rtc.rtc.alias("t"), col("a.scc") === col("t.ss"))
+      .join(closure.alias("t"), col("a.scc") === col("t.ss"))
       .select(col(s"a.$Src").as(Src), col("t.es").as("scc"))
       .distinct()
     // (9): ⋈ SCC — no duplicate check (useless-2 elimination): the
     // (s, scc) rows are distinct and SCC member sets are disjoint.
     eq8.alias("b")
-      .join(rtc.scc.alias("c2"), col("b.scc") === col("c2.scc"))
+      .join(scc.alias("c2"), col("b.scc") === col("c2.scc"))
       .select(col(s"b.$Src").as(Src), col("c2.v").as(Dst))
   }
-
-  def sizeOf(rtc: RtcData): Long = rtc.rtcSize
 }
 
 /** RTCSharing (paper §IV, Algorithms 1 and 2): [[Sharing.evaluate]] over

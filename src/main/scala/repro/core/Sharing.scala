@@ -1,35 +1,82 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.functions.broadcast
 import repro.graph.{LabeledGraph, Pairs}
 import repro.harness.Metrics
 import scala.collection.mutable
 
 /** The structure `S` that Algorithm 1 shares per closure body `R`, cached
-  * by `R.show` across the batch units of one or many RPQs (lines 9–11: "If
-  * the RTC for R exists, we reuse them"). RTCSharing and FullSharing differ
-  * only here: [[RtcCache]] shares the SCC relation plus `TC(Ḡ_R)`,
+  * across the batch units of one or many RPQs (lines 9–11: "If the RTC for
+  * R exists, we reuse them"). RTCSharing and FullSharing differ only here:
+  * [[RtcCache]] shares the SCC relation plus `TC(Ḡ_R)`,
   * [[repro.baselines.FullCache]] the materialized `R+_G`. Each entry is
   * sized once, when it is built.
+  *
+  * The key is a canonical rendering of `R`: alternation operands are
+  * flattened, sorted and deduplicated, and `(R+)+` is `R+`, so bodies that
+  * differ only in these ways share one entry.
+  *
+  * A shared relation joins by broadcast when its pairs fit
+  * `broadcastBytes` (see [[sized]]); a larger one keeps the shuffle join.
+  *
+  * @param broadcastBytes the broadcast limit; [[SharedCache.BroadcastBytes]]
+  *                       outside tests
   */
-abstract class SharedCache[S] {
+abstract class SharedCache[S](broadcastBytes: Long) {
   private val entries = mutable.Map.empty[String, (S, Long)]
 
-  /** Builds the shared structure from `R_G`, the edge relation of `G_R`. */
-  def build(rg: DataFrame)(implicit spark: SparkSession): S
+  /** Builds the shared structure from `R_G`, the edge relation of `G_R`.
+    *
+    * @return the structure and its pairs (the paper's shared-data size)
+    */
+  def build(rg: DataFrame)(implicit spark: SparkSession): (S, Long)
 
   /** `Pre_G ⋈ R+_G`, computed through the shared structure. */
   def joinFrom(preG: DataFrame, shared: S): DataFrame
 
-  /** Pairs in the shared structure (the paper's shared-data size). */
-  def sizeOf(shared: S): Long
+  def getOrElseCompute(r: Rpq)(compute: => (S, Long)): S =
+    entries.getOrElseUpdate(SharedCache.key(r), compute)._1
 
-  def getOrElseCompute(r: Rpq)(compute: => S): S =
-    entries.getOrElseUpdate(r.show, { val s = compute; (s, sizeOf(s)) })._1
-
-  def contains(r: Rpq): Boolean = entries.contains(r.show)
+  def contains(r: Rpq): Boolean = entries.contains(SharedCache.key(r))
   def size: Int = entries.size
   def totalSize: Long = entries.values.map(_._2).sum
+
+  /** True iff a relation of `rows` pairs fits the broadcast limit, at
+    * `UnsafeRow` width (an 8-byte null bitset and two 8-byte fields).
+    */
+  protected final def fits(rows: Long): Boolean = rows * 24 <= broadcastBytes
+
+  /** `rel`, of `rows` pairs, with a broadcast hint when it [[fits]]. */
+  protected final def sized(rel: DataFrame, rows: Long): DataFrame =
+    if (fits(rows)) broadcast(rel) else rel
+}
+
+object SharedCache {
+  /** Spark's default `spark.sql.autoBroadcastJoinThreshold`, 10 MiB: about
+    * 436,906 pairs. The session's own threshold stays off; only the shared
+    * relations are hinted, by their exact size.
+    */
+  val BroadcastBytes: Long = 10L << 20
+
+  private def key(r: Rpq): String = canonical(r).show
+
+  private def canonical(r: Rpq): Rpq = r match {
+    case Rpq.Alt(_, _) =>
+      Rpq.alt(alternatives(r).map(canonical).distinctBy(_.show).sortBy(_.show))
+    case Rpq.Cat(a, b) => Rpq.Cat(canonical(a), canonical(b))
+    case Rpq.Plus(x) => canonical(x) match {
+      case p @ Rpq.Plus(_) => p
+      case c               => Rpq.Plus(c)
+    }
+    case Rpq.Star(x) => Rpq.Star(canonical(x))
+    case leaf        => leaf
+  }
+
+  private def alternatives(r: Rpq): Seq[Rpq] = r match {
+    case Rpq.Alt(a, b) => alternatives(a) ++ alternatives(b)
+    case other         => Seq(other)
+  }
 }
 
 /** Algorithm 1 for any shared structure: convert the query to DNF

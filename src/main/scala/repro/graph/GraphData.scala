@@ -5,9 +5,12 @@ import org.apache.spark.sql.functions._
 
 /** An edge-labeled, directed multigraph `G = (V, E, f, Σ, l)` (paper §II-A).
   *
-  * Edges are a DataFrame with columns `(s: Long, label: String, d: Long)`.
-  * Multiple edges between a vertex pair are allowed but must carry distinct
-  * labels, which the triple-distinct invariant of the generators enforces.
+  * Edges are a DataFrame with columns `(s: Long, label: String, d: Long)`
+  * and are a set of triples: no `(s, label, d)` occurs twice. Multiple
+  * edges between a vertex pair are allowed but must carry distinct labels.
+  * [[GraphData.fromTuples]] and [[repro.data.GraphGen.random]] apply
+  * `distinct`, and [[repro.core.RpqEval]] relies on the invariant: a label
+  * selection yields a set of `(s, d)` pairs with no duplicate check.
   *
   * @param edges edge relation; callers should `materialize` graphs that are
   *              reused across many queries so Spark does not recompute the

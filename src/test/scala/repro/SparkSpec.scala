@@ -1,6 +1,8 @@
 package repro
 
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.execution.SparkPlan
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanExec
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
 import repro.jobs.JobSession
@@ -14,6 +16,12 @@ import repro.jobs.JobSession
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
+
+  /** The physical plan adaptive execution starts from, before any stage runs. */
+  def initialPlan(df: DataFrame): SparkPlan = df.queryExecution.executedPlan match {
+    case a: AdaptiveSparkPlanExec => a.executedPlan
+    case p                        => p
+  }
 
   override def afterAll(): Unit = { super.afterAll() }
 }

@@ -1,7 +1,7 @@
 package repro.baselines
 
 import repro.{SparkSpec, TestKit}
-import repro.core.{Rpq, RpqEval}
+import repro.core.{Rpq, RpqEval, SharedCache}
 import repro.graph.{GraphData, Pairs}
 import repro.harness.Metrics
 
@@ -14,9 +14,10 @@ class FullSharingSpec extends SparkSpec {
   private def graphOf(triples: Seq[(Long, String, Long)]) =
     GraphData.fromTuples(spark, triples)
 
-  private val tiny = graphOf(Seq(
+  private val tinyTriples = Seq(
     (1L, "a", 2L), (2L, "b", 3L), (3L, "c", 4L), (2L, "a", 4L),
-    (4L, "b", 1L), (1L, "b", 3L)))
+    (4L, "b", 1L), (1L, "b", 3L))
+  private val tiny = graphOf(tinyTriples)
 
   private def full(g: repro.graph.LabeledGraph, q: String,
                    cache: FullCache = new FullCache): Set[(Long, Long)] =
@@ -45,6 +46,29 @@ class FullSharingSpec extends SparkSpec {
     assert(cache.contains(Rpq.parse("b.c")))
   }
 
+  test("cache key: (b.c|a.b)+ after (a.b|b.c)+ reuses R+_G") {
+    val cache = new FullCache
+    full(tiny, "(a.b|b.c)+", cache)
+    val sizeAfterFirst = cache.size
+    val got = full(tiny, "(b.c|a.b)+", cache)
+    assert(cache.size == sizeAfterFirst, "a reordered alternation must hit the cache")
+    assert(got == TestKit.bruteEval(tinyTriples, Rpq.parse("(b.c|a.b)+")))
+  }
+
+  test("R+_G joins by broadcast under the limit and by shuffle over it") {
+    import org.apache.spark.sql.execution.joins.BroadcastHashJoinExec
+    import spark.implicits._
+    val rg = Seq((1L, 2L), (2L, 3L)).toDF("s", "d")
+    val preG = Seq((7L, 1L)).toDF("s", "d")
+    for ((limit, broadcasts) <- Seq(SharedCache.BroadcastBytes -> 1, 0L -> 0)) {
+      val cache = new FullCache(limit)
+      val joined = cache.joinFrom(preG, cache.build(rg)._1)
+      val plan = initialPlan(joined)
+      assert(plan.collect { case j: BroadcastHashJoinExec => j }.size == broadcasts, plan.toString)
+      assert(Pairs.collectSet(joined) == Set((7L, 2L), (7L, 3L)))
+    }
+  }
+
   test("totalSize reports the number of shared pairs") {
     val cache = new FullCache
     FullSharing.evaluate(tiny, Rpq.parse("a+"), cache).count()
@@ -55,8 +79,9 @@ class FullSharingSpec extends SparkSpec {
     import spark.implicits._
     for (seed <- 1 to 6) {
       val edges = TestKit.randomEdges(numV = 20, numE = 15 * seed, seed = 1400 + seed)
-      assert(Pairs.collectSet(new FullCache().build(edges.toDF("s", "d"))) == TestKit.bruteTc(edges),
-        s"seed $seed")
+      val (plus, size) = new FullCache().build(edges.toDF("s", "d"))
+      val expected = TestKit.bruteTc(edges)
+      assert(Pairs.collectSet(plus) == expected && size == expected.size, s"seed $seed")
     }
   }
 

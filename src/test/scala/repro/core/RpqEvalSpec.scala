@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.{Oracle, SparkSpec, TestKit}
+import repro.data.GraphGen
 import repro.graph.{GraphData, Pairs}
 
 /** Reference relational evaluator: labels as selections, concatenation as
@@ -22,6 +23,15 @@ class RpqEvalSpec extends SparkSpec {
 
   test("single label selects exactly its edges") {
     assert(evalSet(tiny, "a") == Set((1L, 2L), (2L, 4L)))
+  }
+  test("label selection has no duplicate rows: repeated input triples, GraphGen.random") {
+    val repeated = graphOf(tinyTriples ++ tinyTriples ++ Seq((1L, "a", 2L)))
+    val random = GraphGen.random(spark, numV = 30, numE = 400, numLabels = 2, seed = 7)
+    for ((g, l) <- Seq(repeated -> "a", repeated -> "b", random -> "l0", random -> "l1")) {
+      val sel = RpqEval.eval(g, Rpq.Lbl(l))
+      assert(sel.count() == sel.distinct().count(), s"label $l")
+    }
+    assert(evalSet(repeated, "a") == evalSet(tiny, "a"))
   }
   test("missing label yields empty relation") {
     assert(evalSet(tiny, "z") == Set.empty)

@@ -1,5 +1,8 @@
 package repro.core
 
+import org.apache.spark.sql.execution.SparkPlan
+import org.apache.spark.sql.execution.exchange.{REPARTITION_BY_COL, ShuffleExchangeExec}
+import org.apache.spark.sql.execution.joins.{BroadcastHashJoinExec, SortMergeJoinExec}
 import repro.{Oracle, SparkSpec, TestKit}
 import repro.baselines.{FullCache, FullSharing, NoSharing}
 import repro.graph.{GraphData, Pairs}
@@ -19,9 +22,10 @@ class RtcSharingSpec extends SparkSpec {
                       cache: RtcCache = new RtcCache): Set[(Long, Long)] =
     Pairs.collectSet(RtcSharing.evaluate(g, Rpq.parse(q), cache))
 
-  private val tiny = graphOf(Seq(
+  private val tinyTriples = Seq(
     (1L, "a", 2L), (2L, "b", 3L), (3L, "c", 4L), (2L, "a", 4L),
-    (4L, "b", 1L), (1L, "b", 3L)))
+    (4L, "b", 1L), (1L, "b", 3L))
+  private val tiny = graphOf(tinyTriples)
 
   // ------------------------------------------------------- basic clauses
 
@@ -86,6 +90,55 @@ class RtcSharingSpec extends SparkSpec {
     assert(cache.size == sizeAfterFirst, "second query must reuse the RTC for b.c")
   }
 
+  test("cache key: (b.c|a.b)+ after (a.b|b.c)+ reuses the RTC") {
+    val cache = new RtcCache
+    rtcEval(tiny, "(a.b|b.c)+", cache)
+    val sizeAfterFirst = cache.size
+    val got = rtcEval(tiny, "(b.c|a.b)+", cache)
+    assert(cache.size == sizeAfterFirst, "a reordered alternation must hit the cache")
+    assert(got == TestKit.bruteEval(tinyTriples, Rpq.parse("(b.c|a.b)+")))
+  }
+
+  test("cache key: a body (R+)+ reuses the RTC of R+") {
+    val cache = new RtcCache
+    rtcEval(tiny, "((a.b)+)+", cache)                // RTCs for a.b and (a.b)+
+    assert(cache.size == 2)
+    val got = rtcEval(tiny, "(((a.b)+)+)+", cache)  // body ((a.b)+)+ keys as (a.b)+
+    assert(cache.size == 2)
+    assert(got == TestKit.bruteEval(tinyTriples, Rpq.parse("(((a.b)+)+)+")))
+  }
+
+  // ----------------------------------------------- physical plan of (7)–(9)
+
+  private def joinPlan(cache: RtcCache): (SparkPlan, Set[(Long, Long)]) = {
+    import spark.implicits._
+    val rg = Seq((1L, 2L), (2L, 1L), (2L, 3L), (3L, 4L), (5L, 5L)).toDF("s", "d")
+    val preG = Seq((7L, 1L), (8L, 3L), (9L, 5L), (7L, 2L)).toDF("s", "d")
+    val joined = cache.joinFrom(preG, cache.build(rg)._1)
+    val plan = initialPlan(joined)
+    val got = Pairs.collectSet(joined)
+    assert(got == Pairs.collectSet(Pairs.compose(preG, new FullCache(0L).build(rg)._1)))
+    (plan, got)
+  }
+
+  test("plan: a small RTC joins by broadcast after one Pre_G repartition") {
+    val (plan, got) = joinPlan(new RtcCache)
+    val shuffles = plan.collect { case e: ShuffleExchangeExec => e }
+    assert(shuffles.map(_.shuffleOrigin) == Seq(REPARTITION_BY_COL), plan.toString)
+    assert(plan.collect { case j: BroadcastHashJoinExec => j }.size == 3, plan.toString)
+    assert(got == Set((7L, 1L), (7L, 2L), (7L, 3L), (7L, 4L), (8L, 4L), (9L, 5L)))
+  }
+
+  test("plan: an RTC over the broadcast limit keeps the shuffle joins") {
+    val (plan, _) = joinPlan(new RtcCache(0L))
+    assert(plan.collect { case j: BroadcastHashJoinExec => j }.isEmpty, plan.toString)
+    assert(plan.collect { case j: SortMergeJoinExec => j }.size == 3, plan.toString)
+    assert(!plan.exists {
+      case e: ShuffleExchangeExec => e.shuffleOrigin == REPARTITION_BY_COL
+      case _                      => false
+    }, plan.toString)
+  }
+
   // ------------------------------------------------------- differential
 
   private val queries = Seq("a", "a.b", "a+", "(a.b)+", "a.b+.c", "d.(b.c)+.c",
@@ -101,16 +154,23 @@ class RtcSharingSpec extends SparkSpec {
         s"query $q seed $seed")
     }
 
+  // NoSharing does not depend on the join path; both paths compare with one
+  // evaluation per (seed, query).
+  private val noSharing = scala.collection.mutable.Map.empty[(Int, String), Set[(Long, Long)]]
+
+  // Both join paths: the shared relations broadcast (default limit) or,
+  // with a zero limit, every non-empty one shuffled.
   for (seed <- 1 to 3; q <- Seq("a.b+.c", "(a.b)+", "a.(b.c)+.d", "b+.a",
-                                "(a.b)*.b+.(a.b+.c)+", "a+|b.c"))
-    test(s"RTCSharing ≡ FullSharing ≡ NoSharing: '$q' seed $seed") {
+                                "(a.b)*.b+.(a.b+.c)+", "a+|b.c");
+       (path, limit) <- Seq("" -> SharedCache.BroadcastBytes, ", shuffle joins" -> 0L))
+    test(s"RTCSharing ≡ FullSharing ≡ NoSharing: '$q' seed $seed$path") {
       val labels = Seq("a", "b", "c", "d")
       val triples = TestKit.randomTriples(numV = 10, numE = 34, numLabels = 4, seed = 1100 + seed)
         .map { case (sv, l, d) => (sv, labels(l.drop(1).toInt), d) }
       val g = graphOf(triples)
-      val rtc = rtcEval(g, q)
-      val full = Pairs.collectSet(FullSharing.evaluate(g, Rpq.parse(q), new FullCache))
-      val no = Pairs.collectSet(NoSharing.evaluate(g, Rpq.parse(q)))
+      val rtc = rtcEval(g, q, new RtcCache(limit))
+      val full = Pairs.collectSet(FullSharing.evaluate(g, Rpq.parse(q), new FullCache(limit)))
+      val no = noSharing.getOrElseUpdate((seed, q), Pairs.collectSet(NoSharing.evaluate(g, Rpq.parse(q))))
       assert(rtc == full, s"RTC vs Full on $q")
       assert(rtc == no, s"RTC vs No on $q")
     }

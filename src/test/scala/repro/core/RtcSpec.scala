@@ -69,9 +69,11 @@ class RtcSpec extends SparkSpec {
   for ((name, edges) <- theorem1Inputs)
     test(s"Theorem 1: RTC expansion equals TC(G_R), $name") {
       val df = edges.toDF("s", "d")
-      val viaRtc = Pairs.collectSet(Rtc.expand(Rtc.compute(df)))
+      val data = Rtc.compute(df)
+      val viaRtc = Pairs.collectSet(Rtc.expand(data))
       val direct = Pairs.collectSet(TransitiveClosure.of(df))
       assert(viaRtc == direct)
+      assert(data.sccSize == edges.flatMap(e => Seq(e._1, e._2)).distinct.size, "SCC rows")
     }
 
   test("driver guard: a build past the budget fails naming |G_R|, n, bytes and budget") {
