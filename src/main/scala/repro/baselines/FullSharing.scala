@@ -1,6 +1,7 @@
 package repro.baselines
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.functions.broadcast
 import repro.core.{Rpq, Rtc, SharedCache, Sharing}
 import repro.graph.{LabeledGraph, Pairs}
 import repro.harness.Metrics
@@ -15,12 +16,12 @@ import repro.harness.Metrics
 final class FullCache private[repro] (broadcastBytes: Long)
     extends SharedCache[DataFrame](broadcastBytes) {
 
-  def this() = this(SharedCache.BroadcastBytes)
+  def this() = this(Rtc.driverBudget)
 
   def build(rg: DataFrame)(implicit spark: SparkSession): (DataFrame, Long) = {
     val rPlusG = Rtc.expand(Rtc.compute(rg)).localCheckpoint()
     val pairs = rPlusG.count()
-    (sized(rPlusG, pairs), pairs)
+    (if (fits(pairs)) broadcast(rPlusG) else rPlusG, pairs)
   }
 
   def joinFrom(preG: DataFrame, rPlusG: DataFrame): DataFrame = Pairs.compose(preG, rPlusG)

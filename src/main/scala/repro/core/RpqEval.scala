@@ -22,8 +22,7 @@ object RpqEval {
     */
   def eval(g: LabeledGraph, r: Rpq): DataFrame = r match {
     case Rpq.Eps    => Pairs.identity(g.vertices)
-    // The edges are a set of triples, so one label's (s, d) pairs are too.
-    case Rpq.Lbl(l) => g.edges.filter(col(Lbl) === l).select(Src, Dst)
+    case Rpq.Lbl(l) => g.edges.filter(col(Lbl) === l).select(Src, Dst).distinct()
     case Rpq.Cat(a, b) => Pairs.compose(eval(g, a), eval(g, b))
     case Rpq.Alt(a, b) => Pairs.union(eval(g, a), eval(g, b))
     case Rpq.Plus(x)   => TransitiveClosure.of(eval(g, x))

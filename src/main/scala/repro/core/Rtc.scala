@@ -21,9 +21,10 @@ object Rtc {
   import GraphData.{Src, Dst}
 
   /** Driver heap one build may take: a quarter of the JVM's maximum heap,
-    * leaving the rest to Spark's blocks and to the collected `G_R`.
+    * leaving the rest to Spark's blocks and to the collected `G_R`. The
+    * sharing caches broadcast a shared relation only within it too.
     */
-  private def driverBudget: Long = Runtime.getRuntime.maxMemory / 4
+  private[repro] def driverBudget: Long = Runtime.getRuntime.maxMemory / 4
 
   /** Bytes of one reach bitset per component for `n` components. */
   def reachBytes(n: Long): Long = n * ((n + 63) / 64) * 8
@@ -31,7 +32,7 @@ object Rtc {
   /** Driver bytes per RTC pair until the DataFrame holds it: the `(ss, es)`
     * tuple, and the encoded row the local relation keeps.
     */
-  private val BytesPerPair = 128L
+  private[repro] val BytesPerPair = 128L
 
   /** Fails with a message naming the sizes when `bytes` exceeds `budget`.
     *

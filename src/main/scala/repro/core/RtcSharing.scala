@@ -18,8 +18,8 @@ import repro.harness.Metrics
   *  - ''useless-2'': no duplicate check after the final `⋈ SCC` expansion
   *    (eq. (9)) — SCC member sets are disjoint, so none is needed.
   *
-  * The SCC relation and the RTC are small (Fig. 11), so each joins by
-  * broadcast when it fits the limit. When both do, `Pre_G` is
+  * The SCC relation and the RTC are small (Fig. 11), so both join by
+  * broadcast when together they fit the limit, and `Pre_G` is then
   * hash-partitioned by its start vertex `s` once; every later step keeps
   * `s` in its key, so both `DISTINCT`s run inside their partitions.
   */
@@ -27,7 +27,7 @@ final class RtcCache private[repro] (broadcastBytes: Long)
     extends SharedCache[RtcData](broadcastBytes) {
   import GraphData.{Src, Dst}
 
-  def this() = this(SharedCache.BroadcastBytes)
+  def this() = this(Rtc.driverBudget)
 
   def build(rg: DataFrame)(implicit spark: SparkSession): (RtcData, Long) = {
     val rtc = Rtc.compute(rg)
@@ -35,11 +35,13 @@ final class RtcCache private[repro] (broadcastBytes: Long)
   }
 
   def joinFrom(preG: DataFrame, rtc: RtcData): DataFrame = {
-    val scc = sized(rtc.scc, rtc.sccSize)
-    val closure = sized(rtc.rtc, rtc.rtcSize)
-    // A shuffle join would partition by its join key, so partitioning by s
-    // pays only when all three joins broadcast.
-    val pre = if (fits(rtc.sccSize) && fits(rtc.rtcSize)) preG.repartition(col(Src)) else preG
+    // One decision for the entry: all three joins broadcast, or all shuffle
+    // (a shuffle join partitions by its own key, so partitioning by s pays
+    // only when none shuffles).
+    val bc = fits(rtc.sccSize + rtc.rtcSize)
+    val (scc, closure, pre) =
+      if (bc) (broadcast(rtc.scc), broadcast(rtc.rtc), preG.repartition(col(Src)))
+      else (rtc.scc, rtc.rtc, preG)
     // (7): Pre_G ⋈ SCC, unioned (redundant-1 elimination).
     val eq7 = pre.alias("p")
       .join(scc.alias("c"), col(s"p.$Dst") === col("c.v"))

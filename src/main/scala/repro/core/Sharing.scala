@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions.broadcast
 import repro.graph.{LabeledGraph, Pairs}
 import repro.harness.Metrics
 import scala.collection.mutable
@@ -17,11 +16,15 @@ import scala.collection.mutable
   * flattened, sorted and deduplicated, and `(R+)+` is `R+`, so bodies that
   * differ only in these ways share one entry.
   *
-  * A shared relation joins by broadcast when its pairs fit
-  * `broadcastBytes` (see [[sized]]); a larger one keeps the shuffle join.
+  * A shared relation joins by broadcast when the driver can hold it (see
+  * [[fits]]); a larger one keeps the shuffle join. The limit bounds driver
+  * memory, not speed: on the Advogato stand-in, broadcasting Full's
+  * 560,169-pair `R+_G` was as fast as shuffling it, and no larger shared
+  * relation has been measured. The session's own broadcast threshold
+  * stays off; only the shared relations are hinted, by their exact size.
   *
-  * @param broadcastBytes the broadcast limit; [[SharedCache.BroadcastBytes]]
-  *                       outside tests
+  * @param broadcastBytes the broadcast limit; [[Rtc.driverBudget]], the
+  *                       budget the RTC build is held to, outside tests
   */
 abstract class SharedCache[S](broadcastBytes: Long) {
   private val entries = mutable.Map.empty[String, (S, Long)]
@@ -42,23 +45,13 @@ abstract class SharedCache[S](broadcastBytes: Long) {
   def size: Int = entries.size
   def totalSize: Long = entries.values.map(_._2).sum
 
-  /** True iff a relation of `rows` pairs fits the broadcast limit, at
-    * `UnsafeRow` width (an 8-byte null bitset and two 8-byte fields).
+  /** True iff a relation of `rows` pairs fits the broadcast limit, at the
+    * driver bytes per pair of the RTC build's guard ([[Rtc.BytesPerPair]]).
     */
-  protected final def fits(rows: Long): Boolean = rows * 24 <= broadcastBytes
-
-  /** `rel`, of `rows` pairs, with a broadcast hint when it [[fits]]. */
-  protected final def sized(rel: DataFrame, rows: Long): DataFrame =
-    if (fits(rows)) broadcast(rel) else rel
+  protected final def fits(rows: Long): Boolean = rows * Rtc.BytesPerPair <= broadcastBytes
 }
 
 object SharedCache {
-  /** Spark's default `spark.sql.autoBroadcastJoinThreshold`, 10 MiB: about
-    * 436,906 pairs. The session's own threshold stays off; only the shared
-    * relations are hinted, by their exact size.
-    */
-  val BroadcastBytes: Long = 10L << 20
-
   private def key(r: Rpq): String = canonical(r).show
 
   private def canonical(r: Rpq): Rpq = r match {

@@ -9,8 +9,7 @@ import org.apache.spark.sql.functions._
   * and are a set of triples: no `(s, label, d)` occurs twice. Multiple
   * edges between a vertex pair are allowed but must carry distinct labels.
   * [[GraphData.fromTuples]] and [[repro.data.GraphGen.random]] apply
-  * `distinct`, and [[repro.core.RpqEval]] relies on the invariant: a label
-  * selection yields a set of `(s, d)` pairs with no duplicate check.
+  * `distinct`.
   *
   * @param edges edge relation; callers should `materialize` graphs that are
   *              reused across many queries so Spark does not recompute the

@@ -1,7 +1,7 @@
 package repro.baselines
 
 import repro.{SparkSpec, TestKit}
-import repro.core.{Rpq, RpqEval, SharedCache}
+import repro.core.{Rpq, RpqEval, Rtc}
 import repro.graph.{GraphData, Pairs}
 import repro.harness.Metrics
 
@@ -60,7 +60,7 @@ class FullSharingSpec extends SparkSpec {
     import spark.implicits._
     val rg = Seq((1L, 2L), (2L, 3L)).toDF("s", "d")
     val preG = Seq((7L, 1L)).toDF("s", "d")
-    for ((limit, broadcasts) <- Seq(SharedCache.BroadcastBytes -> 1, 0L -> 0)) {
+    for ((limit, broadcasts) <- Seq(Rtc.driverBudget -> 1, 0L -> 0)) {
       val cache = new FullCache(limit)
       val joined = cache.joinFrom(preG, cache.build(rg)._1)
       val plan = initialPlan(joined)

@@ -162,7 +162,7 @@ class RtcSharingSpec extends SparkSpec {
   // with a zero limit, every non-empty one shuffled.
   for (seed <- 1 to 3; q <- Seq("a.b+.c", "(a.b)+", "a.(b.c)+.d", "b+.a",
                                 "(a.b)*.b+.(a.b+.c)+", "a+|b.c");
-       (path, limit) <- Seq("" -> SharedCache.BroadcastBytes, ", shuffle joins" -> 0L))
+       (path, limit) <- Seq("" -> Rtc.driverBudget, ", shuffle joins" -> 0L))
     test(s"RTCSharing ≡ FullSharing ≡ NoSharing: '$q' seed $seed$path") {
       val labels = Seq("a", "b", "c", "d")
       val triples = TestKit.randomTriples(numV = 10, numE = 34, numLabels = 4, seed = 1100 + seed)
