@@ -4,11 +4,12 @@ import org.apache.spark.sql.SparkSession
 
 /** The one SparkSession builder, shared by the job entrypoints, the tests
   * and the bench suites. Spark picks no broadcast join by its own size
-  * estimate (the threshold is -1); the sharing caches hint their shared
-  * relations for broadcast by exact size (`SharedCache`), and every other
-  * join shuffles. Shuffles use one partition per local core, since adaptive
-  * execution coalesces the small shuffles of these graphs anyway.
-  * `SPARK_MASTER` (default `local[*]`) selects the deployment.
+  * estimate (the threshold is -1). Only the shared relations are hinted
+  * for broadcast: `RtcCache` always hints its driver-built SCC relation and
+  * RTC, and `FullCache` hints `R+_G` when its exact size fits the driver
+  * budget. Every other join shuffles. Shuffles use one partition per local
+  * core, since adaptive execution coalesces the small shuffles of these
+  * graphs anyway. `SPARK_MASTER` (default `local[*]`) selects the deployment.
   */
 object JobSession {
   def build(app: String): SparkSession =

@@ -11,26 +11,26 @@ import repro.graph.{GraphData, Scc}
   *                of `G_R` with the SCC containing it
   * @param rtc     relation `R̄+_G(START_S, END_S)` as columns `(ss, es)` —
   *                the transitive closure of the condensed graph `Ḡ_R`
-  * @param sccSize number of rows of `scc`, the vertices of `G_R`
   * @param rtcSize number of pairs in the RTC (the paper's shared-data size
   *                for RTCSharing, Fig. 11)
   */
-final case class RtcData(scc: DataFrame, rtc: DataFrame, sccSize: Long, rtcSize: Long)
+final case class RtcData(scc: DataFrame, rtc: DataFrame, rtcSize: Long)
 
 object Rtc {
   import GraphData.{Src, Dst}
 
   /** Driver heap one build may take: a quarter of the JVM's maximum heap,
-    * leaving the rest to Spark's blocks and to the collected `G_R`. The
-    * sharing caches broadcast a shared relation only within it too.
+    * leaving the rest to Spark's blocks and to the collected `G_R`.
+    * [[repro.baselines.FullCache]] broadcasts `R+_G` only within it too.
     */
   private[repro] def driverBudget: Long = Runtime.getRuntime.maxMemory / 4
 
   /** Bytes of one reach bitset per component for `n` components. */
   def reachBytes(n: Long): Long = n * ((n + 63) / 64) * 8
 
-  /** Driver bytes per RTC pair until the DataFrame holds it: the `(ss, es)`
-    * tuple, and the encoded row the local relation keeps.
+  /** Driver bytes per row of either relation until its DataFrame holds it:
+    * the `(ss, es)` or `(v, scc)` tuple, and the encoded row the local
+    * relation keeps.
     */
   private[repro] val BytesPerPair = 128L
 
@@ -58,9 +58,10 @@ object Rtc {
     * has an internal edge — more than one member, or a self-loop — so the
     * RTC never fabricates `(v, v)` pairs.
     *
-    * Both relations are built on the driver as one DataFrame each, with
-    * their row counts; the sizes are checked against [[driverBudget]]
-    * before anything is allocated for them.
+    * Both relations are built on the driver as one local DataFrame each;
+    * their sizes are checked against [[driverBudget]] before anything is
+    * allocated for them. So every `RtcData` fits the driver budget, which
+    * is why [[RtcCache]] can always join both relations by broadcast.
     *
     * @param rg the edge relation of `G_R`, i.e. `R_G` (`(s, d)` pairs)
     */
@@ -87,7 +88,9 @@ object Rtc {
       }
     }
     val pairs = reach.iterator.map(_.iterator.map(java.lang.Long.bitCount(_).toLong).sum).sum
-    requireDriverMemory(c.edges, n, s"$pairs RTC rows", pairs * BytesPerPair, budget)
+    val vertices = c.vertices.length
+    requireDriverMemory(c.edges, n, s"$pairs RTC rows and $vertices SCC rows",
+      (pairs + vertices) * BytesPerPair, budget)
     val rows = new Array[(Long, Long)](pairs.toInt)
     var next = 0
     for (s <- 0 until n; i <- 0 until words) {
@@ -98,7 +101,7 @@ object Rtc {
         w &= w - 1
       }
     }
-    RtcData(c.relation.toDF("v", "scc"), rows.toSeq.toDF("ss", "es"), c.vertices.length, pairs)
+    RtcData(c.relation.toDF("v", "scc"), rows.toSeq.toDF("ss", "es"), pairs)
   }
 
   /** Theorem 1: materializes `R+_G` from the RTC —

@@ -18,16 +18,14 @@ import repro.harness.Metrics
   *  - ''useless-2'': no duplicate check after the final `⋈ SCC` expansion
   *    (eq. (9)) — SCC member sets are disjoint, so none is needed.
   *
-  * The SCC relation and the RTC are small (Fig. 11), so both join by
-  * broadcast when together they fit the limit, and `Pre_G` is then
-  * hash-partitioned by its start vertex `s` once; every later step keeps
-  * `s` in its key, so both `DISTINCT`s run inside their partitions.
+  * The SCC relation and the RTC are small (Fig. 11), and [[Rtc.compute]]
+  * builds both on the driver within its memory guard, so both always join
+  * by broadcast. `Pre_G` is hash-partitioned by its start vertex `s` once;
+  * every later step keeps `s` in its key, so both `DISTINCT`s run inside
+  * their partitions.
   */
-final class RtcCache private[repro] (broadcastBytes: Long)
-    extends SharedCache[RtcData](broadcastBytes) {
+final class RtcCache extends SharedCache[RtcData] {
   import GraphData.{Src, Dst}
-
-  def this() = this(Rtc.driverBudget)
 
   def build(rg: DataFrame)(implicit spark: SparkSession): (RtcData, Long) = {
     val rtc = Rtc.compute(rg)
@@ -35,13 +33,9 @@ final class RtcCache private[repro] (broadcastBytes: Long)
   }
 
   def joinFrom(preG: DataFrame, rtc: RtcData): DataFrame = {
-    // One decision for the entry: all three joins broadcast, or all shuffle
-    // (a shuffle join partitions by its own key, so partitioning by s pays
-    // only when none shuffles).
-    val bc = fits(rtc.sccSize + rtc.rtcSize)
-    val (scc, closure, pre) =
-      if (bc) (broadcast(rtc.scc), broadcast(rtc.rtc), preG.repartition(col(Src)))
-      else (rtc.scc, rtc.rtc, preG)
+    val scc = broadcast(rtc.scc)
+    val closure = broadcast(rtc.rtc)
+    val pre = preG.repartition(col(Src))
     // (7): Pre_G ⋈ SCC, unioned (redundant-1 elimination).
     val eq7 = pre.alias("p")
       .join(scc.alias("c"), col(s"p.$Dst") === col("c.v"))

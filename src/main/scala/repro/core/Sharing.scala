@@ -15,18 +15,8 @@ import scala.collection.mutable
   * The key is a canonical rendering of `R`: alternation operands are
   * flattened, sorted and deduplicated, and `(R+)+` is `R+`, so bodies that
   * differ only in these ways share one entry.
-  *
-  * A shared relation joins by broadcast when the driver can hold it (see
-  * [[fits]]); a larger one keeps the shuffle join. The limit bounds driver
-  * memory, not speed: on the Advogato stand-in, broadcasting Full's
-  * 560,169-pair `R+_G` was as fast as shuffling it, and no larger shared
-  * relation has been measured. The session's own broadcast threshold
-  * stays off; only the shared relations are hinted, by their exact size.
-  *
-  * @param broadcastBytes the broadcast limit; [[Rtc.driverBudget]], the
-  *                       budget the RTC build is held to, outside tests
   */
-abstract class SharedCache[S](broadcastBytes: Long) {
+abstract class SharedCache[S] {
   private val entries = mutable.Map.empty[String, (S, Long)]
 
   /** Builds the shared structure from `R_G`, the edge relation of `G_R`.
@@ -44,11 +34,6 @@ abstract class SharedCache[S](broadcastBytes: Long) {
   def contains(r: Rpq): Boolean = entries.contains(SharedCache.key(r))
   def size: Int = entries.size
   def totalSize: Long = entries.values.map(_._2).sum
-
-  /** True iff a relation of `rows` pairs fits the broadcast limit, at the
-    * driver bytes per pair of the RTC build's guard ([[Rtc.BytesPerPair]]).
-    */
-  protected final def fits(rows: Long): Boolean = rows * Rtc.BytesPerPair <= broadcastBytes
 }
 
 object SharedCache {

@@ -1,6 +1,6 @@
 package repro.data
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 import repro.graph.{GraphData, LabeledGraph}
@@ -32,18 +32,5 @@ object GraphGen {
       (rand(seed + 2) * numV).cast(LongType).as(Dst),
     ).distinct()
     LabeledGraph(edges)
-  }
-
-  /** Driver-side variant for small test graphs: same distribution, plain
-    * scala.util.Random — convenient for cross-checking against driver-side
-    * reference algorithms.
-    */
-  def randomLocal(spark: SparkSession, numV: Int, numE: Int, numLabels: Int,
-                  seed: Long): LabeledGraph = {
-    val rnd = new scala.util.Random(seed)
-    val triples = Seq.fill(numE)(
-      (rnd.nextInt(numV).toLong, s"l${rnd.nextInt(numLabels)}", rnd.nextInt(numV).toLong)
-    ).distinct
-    GraphData.fromTuples(spark, triples)
   }
 }

@@ -71,8 +71,4 @@ object Pairs {
   /** Set union of two pair relations. */
   def union(a: DataFrame, b: DataFrame): DataFrame =
     a.select(Src, Dst).unionByName(b.select(Src, Dst)).distinct()
-
-  /** Collects a pair relation to a sorted driver-side set — test helper. */
-  def collectSet(df: DataFrame): Set[(Long, Long)] =
-    df.select(Src, Dst).collect().map(r => (r.getLong(0), r.getLong(1))).toSet
 }

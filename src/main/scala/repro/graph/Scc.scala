@@ -127,10 +127,6 @@ object Scc {
     new Components(vs, off, adj, comp, popped, ids)
   }
 
-  /** @return vertex -> SCC id (minimum member VID of the component) */
-  def tarjan(vertices: Seq[Long], edges: Seq[(Long, Long)]): Map[Long, Long] =
-    components(vertices, edges).relation.toMap
-
   /** Collects the distinct edges of an unlabeled `(s, d)` edge relation and
     * runs [[components]] on them. Vertices are taken from the edge
     * endpoints (isolated vertices cannot occur in `G_R`, whose vertex set

@@ -12,7 +12,7 @@ import scala.collection.mutable
   * so parts never double-count.
   */
 final class Metrics {
-  private val acc = mutable.LinkedHashMap.empty[String, Long].withDefaultValue(0L)
+  private val acc = mutable.Map.empty[String, Long].withDefaultValue(0L)
   private val active = mutable.Set.empty[String]
 
   /** Times `f` under `key` (outermost occurrence only) and returns its result. */
@@ -28,9 +28,6 @@ final class Metrics {
 
   /** Accumulated milliseconds for `key` (0 if never timed). */
   def ms(key: String): Double = acc(key) / 1e6
-
-  /** All accumulated parts in insertion order. */
-  def snapshot: Seq[(String, Double)] = acc.toSeq.map { case (k, v) => (k, v / 1e6) }
 }
 
 object Metrics {

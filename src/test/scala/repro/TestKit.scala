@@ -1,13 +1,26 @@
 package repro
 
+import org.apache.spark.sql.DataFrame
 import repro.automaton.Nfa
 import repro.core.Rpq
+import repro.graph.{GraphData, LabeledGraph}
 import scala.collection.mutable
 
 /** Driver-side reference implementations used as independent oracles for
-  * the DataFrame algorithms, plus small deterministic generators.
+  * the DataFrame algorithms, plus small deterministic inputs.
   */
 object TestKit {
+  import GraphData.{Src, Dst}
+
+  /** Collects a pair relation to a driver-side set. */
+  def collectSet(df: DataFrame): Set[(Long, Long)] =
+    df.select(Src, Dst).collect().map(r => (r.getLong(0), r.getLong(1))).toSet
+
+  /** The six-edge graph of the hand-checked cases. */
+  val tinyTriples: Seq[(Long, String, Long)] = Seq(
+    (1L, "a", 2L), (2L, "b", 3L), (3L, "c", 4L), (2L, "a", 4L),
+    (4L, "b", 1L), (1L, "b", 3L))
+  lazy val tiny: LabeledGraph = GraphData.fromTuples(SparkSpec.shared, tinyTriples)
 
   /** All `(start, end)` pairs of paths matching `r` over in-memory edges —
     * NFA-product BFS with a visited set, entirely on the driver. The NFA
@@ -76,6 +89,14 @@ object TestKit {
       (rnd.nextInt(numV).toLong, s"l${rnd.nextInt(numLabels)}", rnd.nextInt(numV).toLong)
     ).distinct
   }
+
+  /** [[randomTriples]] with the labels `l0 … l3` renamed `a … d`. */
+  def letterTriples(numV: Int, numE: Int, numLabels: Int, seed: Long): Seq[(Long, String, Long)] = {
+    require(numLabels <= Letters.size, s"at most ${Letters.size} labels")
+    randomTriples(numV, numE, numLabels, seed).map { case (s, l, d) => (s, Letters(l.drop(1).toInt), d) }
+  }
+
+  private val Letters = Seq("a", "b", "c", "d")
 
   /** Deterministic random unlabeled edge list. */
   def randomEdges(numV: Int, numE: Int, seed: Long): Seq[(Long, Long)] = {

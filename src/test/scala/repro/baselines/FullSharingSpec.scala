@@ -1,8 +1,9 @@
 package repro.baselines
 
 import repro.{SparkSpec, TestKit}
-import repro.core.{Rpq, RpqEval, Rtc}
-import repro.graph.{GraphData, Pairs}
+import repro.TestKit.{tiny, tinyTriples}
+import repro.core.{Rpq, Rtc}
+import repro.graph.GraphData
 import repro.harness.Metrics
 
 /** FullSharing baseline: shares the materialized `R+_G`; must agree with
@@ -14,14 +15,9 @@ class FullSharingSpec extends SparkSpec {
   private def graphOf(triples: Seq[(Long, String, Long)]) =
     GraphData.fromTuples(spark, triples)
 
-  private val tinyTriples = Seq(
-    (1L, "a", 2L), (2L, "b", 3L), (3L, "c", 4L), (2L, "a", 4L),
-    (4L, "b", 1L), (1L, "b", 3L))
-  private val tiny = graphOf(tinyTriples)
-
   private def full(g: repro.graph.LabeledGraph, q: String,
                    cache: FullCache = new FullCache): Set[(Long, Long)] =
-    Pairs.collectSet(FullSharing.evaluate(g, Rpq.parse(q), cache))
+    TestKit.collectSet(FullSharing.evaluate(g, Rpq.parse(q), cache))
 
   test("closure-free clause") { assert(full(tiny, "a.b") == Set((1L, 3L), (2L, 1L))) }
   test("bare plus") { assert(full(tiny, "a+") == Set((1L, 2L), (2L, 4L), (1L, 4L))) }
@@ -30,9 +26,7 @@ class FullSharingSpec extends SparkSpec {
     assert((1L to 4L).forall(v => got.contains((v, v))))
   }
   test("batch unit with Pre and Post") {
-    assert(full(tiny, "b.a+.b") == TestKit.bruteEval(Seq(
-      (1L, "a", 2L), (2L, "b", 3L), (3L, "c", 4L), (2L, "a", 4L),
-      (4L, "b", 1L), (1L, "b", 3L)), Rpq.parse("b.a+.b")))
+    assert(full(tiny, "b.a+.b") == TestKit.bruteEval(tinyTriples, Rpq.parse("b.a+.b")))
   }
 
   test("cache: R+_G computed once across queries sharing R") {
@@ -65,7 +59,7 @@ class FullSharingSpec extends SparkSpec {
       val joined = cache.joinFrom(preG, cache.build(rg)._1)
       val plan = initialPlan(joined)
       assert(plan.collect { case j: BroadcastHashJoinExec => j }.size == broadcasts, plan.toString)
-      assert(Pairs.collectSet(joined) == Set((7L, 2L), (7L, 3L)))
+      assert(TestKit.collectSet(joined) == Set((7L, 2L), (7L, 3L)))
     }
   }
 
@@ -81,15 +75,13 @@ class FullSharingSpec extends SparkSpec {
       val edges = TestKit.randomEdges(numV = 20, numE = 15 * seed, seed = 1400 + seed)
       val (plus, size) = new FullCache().build(edges.toDF("s", "d"))
       val expected = TestKit.bruteTc(edges)
-      assert(Pairs.collectSet(plus) == expected && size == expected.size, s"seed $seed")
+      assert(TestKit.collectSet(plus) == expected && size == expected.size, s"seed $seed")
     }
   }
 
   for (seed <- 1 to 4; q <- Seq("a+", "a.b+.c", "(a.b)+", "d.(b.c)+.c", "a.b*.c", "(a|b)+"))
     test(s"FullSharing ≡ NFA reference: '$q' seed $seed") {
-      val labels = Seq("a", "b", "c", "d")
-      val triples = TestKit.randomTriples(numV = 11, numE = 36, numLabels = 4, seed = 1300 + seed)
-        .map { case (sv, l, d) => (sv, labels(l.drop(1).toInt), d) }
+      val triples = TestKit.letterTriples(numV = 11, numE = 36, numLabels = 4, seed = 1300 + seed)
       val g = graphOf(triples)
       assert(full(g, q) == TestKit.bruteEval(triples, Rpq.parse(q)), s"query $q seed $seed")
     }

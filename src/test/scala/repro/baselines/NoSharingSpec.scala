@@ -1,8 +1,9 @@
 package repro.baselines
 
 import repro.{SparkSpec, TestKit}
-import repro.core.{Rpq, RpqEval}
-import repro.graph.{GraphData, Pairs}
+import repro.TestKit.tiny
+import repro.core.Rpq
+import repro.graph.GraphData
 
 /** NoSharing (automaton-guided product BFS) vs the reference relational
   * evaluator and the driver-side NFA BFS.
@@ -13,12 +14,8 @@ class NoSharingSpec extends SparkSpec {
   private def graphOf(triples: Seq[(Long, String, Long)]) =
     GraphData.fromTuples(spark, triples)
 
-  private val tiny = graphOf(Seq(
-    (1L, "a", 2L), (2L, "b", 3L), (3L, "c", 4L), (2L, "a", 4L),
-    (4L, "b", 1L), (1L, "b", 3L)))
-
   private def no(g: repro.graph.LabeledGraph, q: String): Set[(Long, Long)] =
-    Pairs.collectSet(NoSharing.evaluate(g, Rpq.parse(q)))
+    TestKit.collectSet(NoSharing.evaluate(g, Rpq.parse(q)))
 
   test("single label") { assert(no(tiny, "a") == Set((1L, 2L), (2L, 4L))) }
   test("concatenation") { assert(no(tiny, "a.b") == Set((1L, 3L), (2L, 1L))) }
@@ -43,11 +40,9 @@ class NoSharingSpec extends SparkSpec {
     "a.b+.c", "d.(b.c)+.c", "a*.b", "(a|b)+", "a.(b.c)+", "(a.b)*.b+")
   for (seed <- 1 to 4; q <- queries)
     test(s"NoSharing ≡ reference evaluator: '$q' on random graph seed $seed") {
-      val labels = Seq("a", "b", "c", "d")
-      val triples = TestKit.randomTriples(numV = 12, numE = 40, numLabels = 4, seed = 600 + seed)
-        .map { case (s, l, d) => (s, labels(l.drop(1).toInt), d) }
+      val triples = TestKit.letterTriples(numV = 12, numE = 40, numLabels = 4, seed = 600 + seed)
       val g = graphOf(triples)
-      val got = Pairs.collectSet(NoSharing.evaluate(g, Rpq.parse(q)))
+      val got = TestKit.collectSet(NoSharing.evaluate(g, Rpq.parse(q)))
       assert(got == TestKit.bruteEval(triples, Rpq.parse(q)), s"query $q seed $seed")
     }
 }

@@ -2,7 +2,7 @@ package repro.core
 
 import repro.{SparkSpec, TestKit}
 import repro.baselines.NoSharing
-import repro.graph.{GraphData, Pairs, Scc, TransitiveClosure}
+import repro.graph.{GraphData, Scc, TransitiveClosure}
 
 /** End-to-end walk through the paper's running example (Figures 4–6,
   * Examples 3–6): a graph whose `b·c` paths realize exactly the published
@@ -30,11 +30,11 @@ class PaperExampleSpec extends SparkSpec {
 
   test("Example 3: edge-level reduction of G for b·c yields E_{b·c}") {
     val rg = RpqEval.eval(g, Rpq.parse("b.c"))
-    assert(Pairs.collectSet(rg) == ebc.toSet)
+    assert(TestKit.collectSet(rg) == ebc.toSet)
   }
 
   test("edge-level reduction drops vertices/edges off satisfying paths") {
-    val rg = Pairs.collectSet(RpqEval.eval(g, Rpq.parse("b.c")))
+    val rg = TestKit.collectSet(RpqEval.eval(g, Rpq.parse("b.c")))
     assert(!rg.exists { case (s, d) => s == 7L || d == 7L })
   }
 
@@ -42,8 +42,8 @@ class PaperExampleSpec extends SparkSpec {
     import spark.implicits._
     val expected = Set((2L, 2L), (2L, 4L), (2L, 6L), (3L, 3L), (3L, 5L),
       (4L, 2L), (4L, 4L), (4L, 6L), (5L, 3L), (5L, 5L))
-    val viaTc = Pairs.collectSet(TransitiveClosure.of(ebc.toDF("s", "d")))
-    val viaRpq = Pairs.collectSet(RpqEval.eval(g, Rpq.parse("(b.c)+")))
+    val viaTc = TestKit.collectSet(TransitiveClosure.of(ebc.toDF("s", "d")))
+    val viaRpq = TestKit.collectSet(RpqEval.eval(g, Rpq.parse("(b.c)+")))
     assert(viaTc == expected)
     assert(viaRpq == expected)
   }
@@ -58,7 +58,7 @@ class PaperExampleSpec extends SparkSpec {
   test("Example 5: condensed graph has the three published edges") {
     import spark.implicits._
     val edges = ebc.toDF("s", "d")
-    val got = Pairs.collectSet(Scc.condense(edges, Scc.assign(edges)))
+    val got = TestKit.collectSet(Scc.condense(edges, Scc.assign(edges)))
     assert(got == Set((2L, 2L), (2L, 6L), (3L, 3L))) // self-loops for s0, s2
   }
 
@@ -67,12 +67,12 @@ class PaperExampleSpec extends SparkSpec {
     val data = Rtc.compute(ebc.toDF("s", "d"))
     val rtc = data.rtc.collect().map(r => (r.getLong(0), r.getLong(1))).toSet
     assert(rtc == Set((2L, 2L), (2L, 6L), (3L, 3L)))
-    assert(Pairs.collectSet(Rtc.expand(data)) ==
-      Pairs.collectSet(TransitiveClosure.of(ebc.toDF("s", "d"))))
+    assert(TestKit.collectSet(Rtc.expand(data)) ==
+      TestKit.collectSet(TransitiveClosure.of(ebc.toDF("s", "d"))))
   }
 
   test("full pipeline: RTCSharing evaluates (b.c)+ on G to the Example 4 set") {
-    val got = Pairs.collectSet(
+    val got = TestKit.collectSet(
       RtcSharing.evaluate(g, Rpq.parse("(b.c)+"), new RtcCache))
     assert(got == Set((2L, 2L), (2L, 4L), (2L, 6L), (3L, 3L), (3L, 5L),
       (4L, 2L), (4L, 4L), (4L, 6L), (5L, 3L), (5L, 5L)))
@@ -80,7 +80,7 @@ class PaperExampleSpec extends SparkSpec {
 
   test("batch unit d.(b.c)+ starting from the d-edge prefix") {
     // Pre = d: (7 -> 4); then (b·c)+ from 4 reaches {2, 4, 6}.
-    val got = Pairs.collectSet(
+    val got = TestKit.collectSet(
       RtcSharing.evaluate(g, Rpq.parse("d.(b.c)+"), new RtcCache))
     assert(got == Set((7L, 2L), (7L, 4L), (7L, 6L)))
   }
@@ -88,7 +88,7 @@ class PaperExampleSpec extends SparkSpec {
   test("RTCSharing agrees with NoSharing on the example graph") {
     for (q <- Seq("(b.c)+", "d.(b.c)+", "b.c", "(b.c)*", "d.(b.c)*"))
       assert(
-        Pairs.collectSet(RtcSharing.evaluate(g, Rpq.parse(q), new RtcCache)) ==
-        Pairs.collectSet(NoSharing.evaluate(g, Rpq.parse(q))), s"query $q")
+        TestKit.collectSet(RtcSharing.evaluate(g, Rpq.parse(q), new RtcCache)) ==
+        TestKit.collectSet(NoSharing.evaluate(g, Rpq.parse(q))), s"query $q")
   }
 }

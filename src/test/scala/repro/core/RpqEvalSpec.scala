@@ -1,8 +1,9 @@
 package repro.core
 
 import repro.{Oracle, SparkSpec, TestKit}
+import repro.TestKit.{tiny, tinyTriples}
 import repro.data.GraphGen
-import repro.graph.{GraphData, Pairs}
+import repro.graph.GraphData
 
 /** Reference relational evaluator: labels as selections, concatenation as
   * joins (Lemma 4), alternation as union, closures via TC (Lemma 1) —
@@ -13,13 +14,8 @@ class RpqEvalSpec extends SparkSpec {
   private def graphOf(triples: Seq[(Long, String, Long)]) =
     GraphData.fromTuples(spark, triples)
 
-  private val tinyTriples = Seq(
-    (1L, "a", 2L), (2L, "b", 3L), (3L, "c", 4L), (2L, "a", 4L),
-    (4L, "b", 1L), (1L, "b", 3L))
-  private val tiny = graphOf(tinyTriples)
-
   private def evalSet(g: repro.graph.LabeledGraph, q: String): Set[(Long, Long)] =
-    Pairs.collectSet(RpqEval.eval(g, Rpq.parse(q)))
+    TestKit.collectSet(RpqEval.eval(g, Rpq.parse(q)))
 
   test("single label selects exactly its edges") {
     assert(evalSet(tiny, "a") == Set((1L, 2L), (2L, 4L)))
@@ -60,13 +56,13 @@ class RpqEvalSpec extends SparkSpec {
   }
   test("concatenation deduplicates multiple witness paths") {
     val g = graphOf(Seq((1L, "a", 2L), (1L, "a", 3L), (2L, "b", 9L), (3L, "b", 9L)))
-    assert(Pairs.collectSet(RpqEval.eval(g, Rpq.parse("a.b"))) == Set((1L, 9L)))
+    assert(TestKit.collectSet(RpqEval.eval(g, Rpq.parse("a.b"))) == Set((1L, 9L)))
   }
   test("evalWithoutKC rejects closures") {
     intercept[IllegalArgumentException](RpqEval.evalWithoutKC(tiny, Rpq.parse("a+")))
   }
   test("evalWithoutKC accepts closure-free queries") {
-    assert(Pairs.collectSet(RpqEval.evalWithoutKC(tiny, Rpq.parse("a.b|b"))) ==
+    assert(TestKit.collectSet(RpqEval.evalWithoutKC(tiny, Rpq.parse("a.b|b"))) ==
       evalSet(tiny, "a.b|b"))
   }
 
@@ -75,10 +71,9 @@ class RpqEvalSpec extends SparkSpec {
     "(a.b)+", "a.b+", "a*.b", "(a|b)+", "a.(b|c)+.a", "b.(a.b)+")
   for (seed <- 1 to 5; q <- queries)
     test(s"matches NFA BFS reference: '$q' on random graph seed $seed") {
-      val triples = TestKit.randomTriples(numV = 12, numE = 35, numLabels = 3, seed = 500 + seed)
-        .map { case (s, l, d) => (s, Seq("a", "b", "c")(l.drop(1).toInt), d) }
+      val triples = TestKit.letterTriples(numV = 12, numE = 35, numLabels = 3, seed = 500 + seed)
       val g = graphOf(triples)
-      assert(Pairs.collectSet(RpqEval.eval(g, Rpq.parse(q))) ==
+      assert(TestKit.collectSet(RpqEval.eval(g, Rpq.parse(q))) ==
         TestKit.bruteEval(triples, Rpq.parse(q)), s"query $q seed $seed")
     }
 

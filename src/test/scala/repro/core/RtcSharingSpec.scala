@@ -1,9 +1,9 @@
 package repro.core
 
-import org.apache.spark.sql.execution.SparkPlan
 import org.apache.spark.sql.execution.exchange.{REPARTITION_BY_COL, ShuffleExchangeExec}
-import org.apache.spark.sql.execution.joins.{BroadcastHashJoinExec, SortMergeJoinExec}
+import org.apache.spark.sql.execution.joins.BroadcastHashJoinExec
 import repro.{Oracle, SparkSpec, TestKit}
+import repro.TestKit.{tiny, tinyTriples}
 import repro.baselines.{FullCache, FullSharing, NoSharing}
 import repro.graph.{GraphData, Pairs}
 import repro.harness.Metrics
@@ -20,12 +20,7 @@ class RtcSharingSpec extends SparkSpec {
 
   private def rtcEval(g: repro.graph.LabeledGraph, q: String,
                       cache: RtcCache = new RtcCache): Set[(Long, Long)] =
-    Pairs.collectSet(RtcSharing.evaluate(g, Rpq.parse(q), cache))
-
-  private val tinyTriples = Seq(
-    (1L, "a", 2L), (2L, "b", 3L), (3L, "c", 4L), (2L, "a", 4L),
-    (4L, "b", 1L), (1L, "b", 3L))
-  private val tiny = graphOf(tinyTriples)
+    TestKit.collectSet(RtcSharing.evaluate(g, Rpq.parse(q), cache))
 
   // ------------------------------------------------------- basic clauses
 
@@ -41,9 +36,7 @@ class RtcSharingSpec extends SparkSpec {
   }
   test("batch unit with Pre and Post") {
     // b.(a)+.b : 4 -b-> 1 -a-> 2 -a-> 4 ... then -b-> {1,3}
-    val expected = TestKit.bruteEval(Seq(
-      (1L, "a", 2L), (2L, "b", 3L), (3L, "c", 4L), (2L, "a", 4L),
-      (4L, "b", 1L), (1L, "b", 3L)), Rpq.parse("b.a+.b"))
+    val expected = TestKit.bruteEval(tinyTriples, Rpq.parse("b.a+.b"))
     assert(rtcEval(tiny, "b.a+.b") == expected)
   }
   test("alternation of clauses unions batch-unit results") {
@@ -63,9 +56,7 @@ class RtcSharingSpec extends SparkSpec {
     val cache = new RtcCache
     val got = rtcEval(tiny, "a.(a.b)+.b", cache)
     assert(cache.contains(Rpq.parse("a.b")))
-    assert(got == TestKit.bruteEval(Seq(
-      (1L, "a", 2L), (2L, "b", 3L), (3L, "c", 4L), (2L, "a", 4L),
-      (4L, "b", 1L), (1L, "b", 3L)), Rpq.parse("a.(a.b)+.b")))
+    assert(got == TestKit.bruteEval(tinyTriples, Rpq.parse("a.(a.b)+.b")))
   }
 
   test("Example 7 query 3: nested closures reuse cached RTCs") {
@@ -77,9 +68,7 @@ class RtcSharingSpec extends SparkSpec {
     val got = rtcEval(tiny, "(a.b)*.b+.(a.b+.c)+", cache)
     // now RTCs for a.b, b, and a.b+.c exist; a.b and b were reused
     assert(cache.contains(Rpq.parse("a.b+.c")) && cache.size == 3)
-    assert(got == TestKit.bruteEval(Seq(
-      (1L, "a", 2L), (2L, "b", 3L), (3L, "c", 4L), (2L, "a", 4L),
-      (4L, "b", 1L), (1L, "b", 3L)), Rpq.parse("(a.b)*.b+.(a.b+.c)+")))
+    assert(got == TestKit.bruteEval(tinyTriples, Rpq.parse("(a.b)*.b+.(a.b+.c)+")))
   }
 
   test("cache sharing across queries computes each RTC once") {
@@ -110,33 +99,19 @@ class RtcSharingSpec extends SparkSpec {
 
   // ----------------------------------------------- physical plan of (7)–(9)
 
-  private def joinPlan(cache: RtcCache): (SparkPlan, Set[(Long, Long)]) = {
+  test("plan: a small RTC joins by broadcast after one Pre_G repartition") {
     import spark.implicits._
     val rg = Seq((1L, 2L), (2L, 1L), (2L, 3L), (3L, 4L), (5L, 5L)).toDF("s", "d")
     val preG = Seq((7L, 1L), (8L, 3L), (9L, 5L), (7L, 2L)).toDF("s", "d")
+    val cache = new RtcCache
     val joined = cache.joinFrom(preG, cache.build(rg)._1)
     val plan = initialPlan(joined)
-    val got = Pairs.collectSet(joined)
-    assert(got == Pairs.collectSet(Pairs.compose(preG, new FullCache(0L).build(rg)._1)))
-    (plan, got)
-  }
-
-  test("plan: a small RTC joins by broadcast after one Pre_G repartition") {
-    val (plan, got) = joinPlan(new RtcCache)
     val shuffles = plan.collect { case e: ShuffleExchangeExec => e }
     assert(shuffles.map(_.shuffleOrigin) == Seq(REPARTITION_BY_COL), plan.toString)
     assert(plan.collect { case j: BroadcastHashJoinExec => j }.size == 3, plan.toString)
+    val got = TestKit.collectSet(joined)
+    assert(got == TestKit.collectSet(Pairs.compose(preG, new FullCache(0L).build(rg)._1)))
     assert(got == Set((7L, 1L), (7L, 2L), (7L, 3L), (7L, 4L), (8L, 4L), (9L, 5L)))
-  }
-
-  test("plan: an RTC over the broadcast limit keeps the shuffle joins") {
-    val (plan, _) = joinPlan(new RtcCache(0L))
-    assert(plan.collect { case j: BroadcastHashJoinExec => j }.isEmpty, plan.toString)
-    assert(plan.collect { case j: SortMergeJoinExec => j }.size == 3, plan.toString)
-    assert(!plan.exists {
-      case e: ShuffleExchangeExec => e.shuffleOrigin == REPARTITION_BY_COL
-      case _                      => false
-    }, plan.toString)
   }
 
   // ------------------------------------------------------- differential
@@ -146,31 +121,27 @@ class RtcSharingSpec extends SparkSpec {
     "a.(a.b)+.b", "(a.b)*.b+.(a.b+.c)+")
   for (seed <- 1 to 4; q <- queries)
     test(s"RTCSharing ≡ NFA reference: '$q' on random graph seed $seed") {
-      val labels = Seq("a", "b", "c", "d")
-      val triples = TestKit.randomTriples(numV = 11, numE = 38, numLabels = 4, seed = 1000 + seed)
-        .map { case (sv, l, d) => (sv, labels(l.drop(1).toInt), d) }
+      val triples = TestKit.letterTriples(numV = 11, numE = 38, numLabels = 4, seed = 1000 + seed)
       val g = graphOf(triples)
       assert(rtcEval(g, q) == TestKit.bruteEval(triples, Rpq.parse(q)),
         s"query $q seed $seed")
     }
 
-  // NoSharing does not depend on the join path; both paths compare with one
-  // evaluation per (seed, query).
-  private val noSharing = scala.collection.mutable.Map.empty[(Int, String), Set[(Long, Long)]]
+  // RTCSharing has one join plan, so RTC and NoSharing are evaluated once
+  // per (seed, query), and Full once per plan: its broadcast join (default
+  // limit) and, with a zero limit, its shuffle join.
+  private val reference =
+    scala.collection.mutable.Map.empty[(Int, String), (Set[(Long, Long)], Set[(Long, Long)])]
 
-  // Both join paths: the shared relations broadcast (default limit) or,
-  // with a zero limit, every non-empty one shuffled.
   for (seed <- 1 to 3; q <- Seq("a.b+.c", "(a.b)+", "a.(b.c)+.d", "b+.a",
                                 "(a.b)*.b+.(a.b+.c)+", "a+|b.c");
        (path, limit) <- Seq("" -> Rtc.driverBudget, ", shuffle joins" -> 0L))
     test(s"RTCSharing ≡ FullSharing ≡ NoSharing: '$q' seed $seed$path") {
-      val labels = Seq("a", "b", "c", "d")
-      val triples = TestKit.randomTriples(numV = 10, numE = 34, numLabels = 4, seed = 1100 + seed)
-        .map { case (sv, l, d) => (sv, labels(l.drop(1).toInt), d) }
+      val triples = TestKit.letterTriples(numV = 10, numE = 34, numLabels = 4, seed = 1100 + seed)
       val g = graphOf(triples)
-      val rtc = rtcEval(g, q, new RtcCache(limit))
-      val full = Pairs.collectSet(FullSharing.evaluate(g, Rpq.parse(q), new FullCache(limit)))
-      val no = noSharing.getOrElseUpdate((seed, q), Pairs.collectSet(NoSharing.evaluate(g, Rpq.parse(q))))
+      val (rtc, no) = reference.getOrElseUpdate((seed, q),
+        (rtcEval(g, q), TestKit.collectSet(NoSharing.evaluate(g, Rpq.parse(q)))))
+      val full = TestKit.collectSet(FullSharing.evaluate(g, Rpq.parse(q), new FullCache(limit)))
       assert(rtc == full, s"RTC vs Full on $q")
       assert(rtc == no, s"RTC vs No on $q")
     }
@@ -179,9 +150,7 @@ class RtcSharingSpec extends SparkSpec {
 
   for (seed <- 1 to 3)
     test(s"DuckDB oracle: batch unit a.(b.c)+.d, random graph seed $seed") {
-      val labels = Seq("a", "b", "c", "d")
-      val triples = TestKit.randomTriples(numV = 10, numE = 36, numLabels = 4, seed = 1200 + seed)
-        .map { case (sv, l, d) => (sv, labels(l.drop(1).toInt), d) }
+      val triples = TestKit.letterTriples(numV = 10, numE = 36, numLabels = 4, seed = 1200 + seed)
       val g = graphOf(triples)
       val df = RtcSharing.evaluate(g, Rpq.parse("a.(b.c)+.d"), new RtcCache)
       Oracle.assertEquivalent(df,

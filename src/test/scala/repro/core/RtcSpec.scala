@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.{SparkSpec, TestKit}
-import repro.graph.{Pairs, TransitiveClosure}
+import repro.graph.TransitiveClosure
 
 /** The reduced transitive closure: `Compute_RTC` and Theorem 1/2 — the
   * RTC-expanded `R+_G` must equal the direct `TC(G_R)` on every graph.
@@ -21,7 +21,7 @@ class RtcSpec extends SparkSpec {
 
   test("Example 6: expanding the RTC reproduces TC(G_{b·c}) (Theorem 1)") {
     val grbc = Seq((2L, 4L), (2L, 6L), (3L, 5L), (4L, 2L), (5L, 3L)).toDF("s", "d")
-    val expanded = Pairs.collectSet(Rtc.expand(Rtc.compute(grbc)))
+    val expanded = TestKit.collectSet(Rtc.expand(Rtc.compute(grbc)))
     val expected = Set((2L, 2L), (2L, 4L), (2L, 6L), (3L, 3L), (3L, 5L),
       (4L, 2L), (4L, 4L), (4L, 6L), (5L, 3L), (5L, 5L))
     assert(expanded == expected)
@@ -29,13 +29,13 @@ class RtcSpec extends SparkSpec {
 
   test("trivial SCC without self-loop contributes no reflexive pair") {
     val chain = Seq((1L, 2L), (2L, 3L)).toDF("s", "d")
-    val expanded = Pairs.collectSet(Rtc.expand(Rtc.compute(chain)))
+    val expanded = TestKit.collectSet(Rtc.expand(Rtc.compute(chain)))
     assert(expanded == Set((1L, 2L), (2L, 3L), (1L, 3L)))
   }
 
   test("self-loop vertex keeps its reflexive pair through reduction") {
     val g = Seq((1L, 1L), (1L, 2L)).toDF("s", "d")
-    val expanded = Pairs.collectSet(Rtc.expand(Rtc.compute(g)))
+    val expanded = TestKit.collectSet(Rtc.expand(Rtc.compute(g)))
     assert(expanded == Set((1L, 1L), (1L, 2L)))
   }
 
@@ -70,10 +70,10 @@ class RtcSpec extends SparkSpec {
     test(s"Theorem 1: RTC expansion equals TC(G_R), $name") {
       val df = edges.toDF("s", "d")
       val data = Rtc.compute(df)
-      val viaRtc = Pairs.collectSet(Rtc.expand(data))
-      val direct = Pairs.collectSet(TransitiveClosure.of(df))
+      val viaRtc = TestKit.collectSet(Rtc.expand(data))
+      val direct = TestKit.collectSet(TransitiveClosure.of(df))
       assert(viaRtc == direct)
-      assert(data.sccSize == edges.flatMap(e => Seq(e._1, e._2)).distinct.size, "SCC rows")
+      assert(data.scc.count() == edges.flatMap(e => Seq(e._1, e._2)).distinct.size, "SCC rows")
     }
 
   test("driver guard: a build past the budget fails naming |G_R|, n, bytes and budget") {

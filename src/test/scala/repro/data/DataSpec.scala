@@ -3,7 +3,6 @@ package repro.data
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
 import repro.core.Rpq
-import repro.graph.GraphData
 
 /** Graph generators, dataset specs (Table IV stand-ins), and the query
   * workload generator (§V-A).
@@ -41,10 +40,6 @@ class DataSpec extends SparkSpec {
     val g = GraphGen.random(spark, 1000, 5000, 4, seed = 3)
     val n = g.numEdges
     assert(n > 4750 && n <= 5000, s"got $n")
-  }
-  test("randomLocal mirrors the schema of random") {
-    val g = GraphGen.randomLocal(spark, 20, 50, 3, seed = 5)
-    assert(g.edges.columns.toSeq == Seq(GraphData.Src, GraphData.Lbl, GraphData.Dst))
   }
 
   // ------------------------------------------------------------ Datasets

@@ -1,7 +1,6 @@
 package repro.graph
 
 import repro.{SparkSpec, TestKit}
-import org.apache.spark.sql.functions.col
 
 /** SCC computation: iterative Tarjan vs brute-force mutual reachability,
   * and condensation rules of the vertex-level reduction (paper §III-B).
@@ -11,10 +10,12 @@ class SccSpec extends SparkSpec {
 
   private implicit val s: org.apache.spark.sql.SparkSession = spark
 
-  private def tarjanOf(edges: Seq[(Long, Long)]): Map[Long, Long] = {
-    val vertices = edges.flatMap(e => Seq(e._1, e._2)).distinct
-    Scc.tarjan(vertices, edges)
-  }
+  /** @return vertex -> SCC id (minimum member VID of the component) */
+  private def tarjan(vertices: Seq[Long], edges: Seq[(Long, Long)]): Map[Long, Long] =
+    Scc.components(vertices, edges).relation.toMap
+
+  private def tarjanOf(edges: Seq[(Long, Long)]): Map[Long, Long] =
+    tarjan(edges.flatMap(e => Seq(e._1, e._2)).distinct, edges)
 
   test("single vertex self-loop forms its own SCC") {
     assert(tarjanOf(Seq((1L, 1L))) == Map(1L -> 1L))
@@ -39,13 +40,13 @@ class SccSpec extends SparkSpec {
   }
   test("deep chain does not overflow the stack (iterative Tarjan)") {
     val chain = (0L until 20000L).map(i => (i, i + 1))
-    val got = Scc.tarjan((0L to 20000L), chain)
+    val got = tarjan((0L to 20000L), chain)
     assert(got.size == 20001 && got.forall { case (v, s) => v == s })
   }
   test("deep cycle collapses to one SCC (iterative Tarjan)") {
     val n = 20000L
     val ring = (0L until n).map(i => (i, (i + 1) % n))
-    val got = Scc.tarjan((0L until n), ring)
+    val got = tarjan((0L until n), ring)
     assert(got.values.toSet == Set(0L))
   }
 
@@ -66,24 +67,24 @@ class SccSpec extends SparkSpec {
   test("Example 5: condensation of G_{b·c} has the paper's three edges") {
     val grbc = Seq((2L, 4L), (2L, 6L), (3L, 5L), (4L, 2L), (5L, 3L)).toDF("s", "d")
     val scc = Scc.assign(grbc)
-    val got = Pairs.collectSet(Scc.condense(grbc, scc))
+    val got = TestKit.collectSet(Scc.condense(grbc, scc))
     // SCC ids are min members: s0 = {2,4} -> 2, s1 = {6} -> 6, s2 = {3,5} -> 3.
     assert(got == Set((2L, 2L), (2L, 6L), (3L, 3L)))
   }
   test("condense keeps self-loop for cyclic SCC only") {
     val edges = Seq((1L, 2L), (2L, 1L), (2L, 3L)).toDF("s", "d")
-    val got = Pairs.collectSet(Scc.condense(edges, Scc.assign(edges)))
+    val got = TestKit.collectSet(Scc.condense(edges, Scc.assign(edges)))
     assert(got == Set((1L, 1L), (1L, 3L)))
   }
   test("condense of a DAG never introduces self-loops") {
     val edges = Seq((1L, 2L), (2L, 3L), (1L, 3L)).toDF("s", "d")
-    val got = Pairs.collectSet(Scc.condense(edges, Scc.assign(edges)))
+    val got = TestKit.collectSet(Scc.condense(edges, Scc.assign(edges)))
     assert(got.forall { case (a, b) => a != b })
   }
   test("condensation is always acyclic apart from self-loops") {
     for (seed <- 1 to 5) {
       val edges = TestKit.randomEdges(30, 70, 300 + seed).toDF("s", "d")
-      val cond = Pairs.collectSet(Scc.condense(edges, Scc.assign(edges)))
+      val cond = TestKit.collectSet(Scc.condense(edges, Scc.assign(edges)))
       val proper = cond.filter { case (a, b) => a != b }.toSeq
       val tc = TestKit.bruteTc(proper)
       assert(tc.forall { case (a, b) => !(a == b) },

@@ -9,7 +9,7 @@ class TransitiveClosureSpec extends SparkSpec {
   import spark.implicits._
 
   private def tcOf(edges: Seq[(Long, Long)]): Set[(Long, Long)] =
-    Pairs.collectSet(TransitiveClosure.of(edges.toDF("s", "d")))
+    TestKit.collectSet(TransitiveClosure.of(edges.toDF("s", "d")))
 
   test("empty edge set has empty closure") {
     assert(tcOf(Seq.empty) == Set.empty)

@@ -5,7 +5,6 @@ import repro.SparkSpec
 import repro.core.Rpq
 import repro.data.QueryGen.RpqSet
 import repro.data.{Datasets, GraphGen}
-import repro.graph.Pairs
 
 /** Metrics accounting and the experiment harness invariants. */
 class MetricsSpec extends AnyFunSuite {
@@ -25,11 +24,6 @@ class MetricsSpec extends AnyFunSuite {
   }
   test("returns the body's value") {
     assert(new Metrics().time("k")(41 + 1) == 42)
-  }
-  test("snapshot lists keys in insertion order") {
-    val m = new Metrics
-    m.time("b")(()); m.time("a")(())
-    assert(m.snapshot.map(_._1) == Seq("b", "a"))
   }
   test("exceptions still record elapsed time") {
     val m = new Metrics
