@@ -133,16 +133,52 @@ object Rpq {
 
   // ------------------------------------------------- DNF and decomposition
 
+  /** Most clauses [[dnf]] builds; past it the query is rejected. */
+  val MaxClauses = 1024
+
   /** Converts an RPQ to disjunctive normal form treating each outermost
     * Kleene closure as a literal (Algorithm 1 line 2): top-level
     * alternations become clauses, and alternation distributes over
     * concatenation; closure bodies are left untouched.
+    *
+    * A concatenation that holds a closure distributes only over its
+    * operands that hold one: closure-free operands stay whole, so
+    * `(a|b).R+.(c|d)` is one batch unit with `Pre = a|b` and
+    * `Post = c|d`. Closure-free expressions get the full DNF. Duplicate
+    * clauses are dropped.
+    *
+    * @throws IllegalArgumentException if the DNF has more than
+    *         [[MaxClauses]] clauses; they are counted before any is built
     */
-  def dnf(q: Rpq): Seq[Rpq] = q match {
-    case Alt(a, b) => dnf(a) ++ dnf(b)
-    case Cat(a, b) => for { x <- dnf(a); y <- dnf(b) } yield Cat(x, y)
+  def dnf(q: Rpq): Seq[Rpq] = {
+    val n = clauseCount(q)
+    require(n <= MaxClauses,
+      s"RPQ $q has ${if (n == Saturated) s"at least $n" else n} DNF clauses, " +
+        s"more than the bound of $MaxClauses")
+    clauses(q).distinct
+  }
+
+  private def clauses(q: Rpq): Seq[Rpq] = q match {
+    case Alt(a, b) => clauses(a) ++ clauses(b)
+    case Cat(a, b) if q.hasClosure => for { x <- operand(a); y <- operand(b) } yield Cat(x, y)
+    case Cat(a, b) => for { x <- clauses(a); y <- clauses(b) } yield Cat(x, y)
     case other     => Seq(other)
   }
+
+  private def operand(r: Rpq): Seq[Rpq] = if (r.hasClosure) clauses(r) else Seq(r)
+
+  // Counts are capped here, so sums and products of two never overflow.
+  private val Saturated = Int.MaxValue.toLong
+
+  /** The number of clauses [[clauses]] builds, duplicates included. */
+  private def clauseCount(q: Rpq): Long = q match {
+    case Alt(a, b) => math.min(clauseCount(a) + clauseCount(b), Saturated)
+    case Cat(a, b) if q.hasClosure => math.min(operandCount(a) * operandCount(b), Saturated)
+    case Cat(a, b) => math.min(clauseCount(a) * clauseCount(b), Saturated)
+    case _         => 1L
+  }
+
+  private def operandCount(r: Rpq): Long = if (r.hasClosure) clauseCount(r) else 1L
 
   /** Flattens a DNF clause into its concatenation factors. */
   def factors(clause: Rpq): Seq[Rpq] = clause match {

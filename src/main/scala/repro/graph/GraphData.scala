@@ -1,6 +1,6 @@
 package repro.graph
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 /** An edge-labeled, directed multigraph `G = (V, E, f, Σ, l)` (paper §II-A).
@@ -8,8 +8,7 @@ import org.apache.spark.sql.functions._
   * Edges are a DataFrame with columns `(s: Long, label: String, d: Long)`
   * and are a set of triples: no `(s, label, d)` occurs twice. Multiple
   * edges between a vertex pair are allowed but must carry distinct labels.
-  * [[GraphData.fromTuples]] and [[repro.data.GraphGen.random]] apply
-  * `distinct`.
+  * [[repro.data.GraphGen.random]] applies `distinct`.
   *
   * @param edges edge relation; callers should `materialize` graphs that are
   *              reused across many queries so Spark does not recompute the
@@ -39,12 +38,6 @@ object GraphData {
   val Src = "s"
   val Lbl = "label"
   val Dst = "d"
-
-  /** Builds a graph from in-memory triples — used by tests and examples. */
-  def fromTuples(spark: SparkSession, triples: Seq[(Long, String, Long)]): LabeledGraph = {
-    import spark.implicits._
-    LabeledGraph(triples.toDF(Src, Lbl, Dst).distinct())
-  }
 }
 
 /** Binary relations of vertex pairs `(s, d)` — the currency of RPQ results.

@@ -1,6 +1,6 @@
 package repro
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.automaton.Nfa
 import repro.core.Rpq
 import repro.graph.{GraphData, LabeledGraph}
@@ -10,17 +10,25 @@ import scala.collection.mutable
   * the DataFrame algorithms, plus small deterministic inputs.
   */
 object TestKit {
-  import GraphData.{Src, Dst}
+  import GraphData.{Src, Lbl, Dst}
 
   /** Collects a pair relation to a driver-side set. */
   def collectSet(df: DataFrame): Set[(Long, Long)] =
     df.select(Src, Dst).collect().map(r => (r.getLong(0), r.getLong(1))).toSet
 
+  /** Builds a graph from in-memory triples, applying `distinct` so the
+    * edges are a set as [[LabeledGraph]] requires.
+    */
+  def fromTuples(spark: SparkSession, triples: Seq[(Long, String, Long)]): LabeledGraph = {
+    import spark.implicits._
+    LabeledGraph(triples.toDF(Src, Lbl, Dst).distinct())
+  }
+
   /** The six-edge graph of the hand-checked cases. */
   val tinyTriples: Seq[(Long, String, Long)] = Seq(
     (1L, "a", 2L), (2L, "b", 3L), (3L, "c", 4L), (2L, "a", 4L),
     (4L, "b", 1L), (1L, "b", 3L))
-  lazy val tiny: LabeledGraph = GraphData.fromTuples(SparkSpec.shared, tinyTriples)
+  lazy val tiny: LabeledGraph = fromTuples(SparkSpec.shared, tinyTriples)
 
   /** All `(start, end)` pairs of paths matching `r` over in-memory edges —
     * NFA-product BFS with a visited set, entirely on the driver. The NFA

@@ -3,7 +3,6 @@ package repro.baselines
 import repro.{SparkSpec, TestKit}
 import repro.TestKit.{tiny, tinyTriples}
 import repro.core.{Rpq, Rtc}
-import repro.graph.GraphData
 import repro.harness.Metrics
 
 /** FullSharing baseline: shares the materialized `R+_G`; must agree with
@@ -13,7 +12,7 @@ class FullSharingSpec extends SparkSpec {
   private implicit val s: org.apache.spark.sql.SparkSession = spark
 
   private def graphOf(triples: Seq[(Long, String, Long)]) =
-    GraphData.fromTuples(spark, triples)
+    TestKit.fromTuples(spark, triples)
 
   private def full(g: repro.graph.LabeledGraph, q: String,
                    cache: FullCache = new FullCache): Set[(Long, Long)] =

@@ -3,7 +3,6 @@ package repro.baselines
 import repro.{SparkSpec, TestKit}
 import repro.TestKit.tiny
 import repro.core.Rpq
-import repro.graph.GraphData
 
 /** NoSharing (automaton-guided product BFS) vs the reference relational
   * evaluator and the driver-side NFA BFS.
@@ -12,7 +11,7 @@ class NoSharingSpec extends SparkSpec {
   private implicit val s: org.apache.spark.sql.SparkSession = spark
 
   private def graphOf(triples: Seq[(Long, String, Long)]) =
-    GraphData.fromTuples(spark, triples)
+    TestKit.fromTuples(spark, triples)
 
   private def no(g: repro.graph.LabeledGraph, q: String): Set[(Long, Long)] =
     TestKit.collectSet(NoSharing.evaluate(g, Rpq.parse(q)))

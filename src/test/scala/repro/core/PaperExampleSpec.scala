@@ -2,7 +2,7 @@ package repro.core
 
 import repro.{SparkSpec, TestKit}
 import repro.baselines.NoSharing
-import repro.graph.{GraphData, Scc, TransitiveClosure}
+import repro.graph.{Scc, TransitiveClosure}
 
 /** End-to-end walk through the paper's running example (Figures 4–6,
   * Examples 3–6): a graph whose `b·c` paths realize exactly the published
@@ -21,7 +21,7 @@ class PaperExampleSpec extends SparkSpec {
   // Published E_{b·c} (Example 3): paths satisfying b·c exist between these.
   private val ebc = Seq((2L, 4L), (2L, 6L), (3L, 5L), (4L, 2L), (5L, 3L))
 
-  private val g = GraphData.fromTuples(spark,
+  private val g = TestKit.fromTuples(spark,
     ebc.zipWithIndex.flatMap { case ((u, v), i) =>
       val m = 100L + i
       Seq((u, "b", m), (m, "c", v))

@@ -3,7 +3,6 @@ package repro.core
 import repro.{Oracle, SparkSpec, TestKit}
 import repro.TestKit.{tiny, tinyTriples}
 import repro.data.GraphGen
-import repro.graph.GraphData
 
 /** Reference relational evaluator: labels as selections, concatenation as
   * joins (Lemma 4), alternation as union, closures via TC (Lemma 1) —
@@ -12,7 +11,7 @@ import repro.graph.GraphData
 class RpqEvalSpec extends SparkSpec {
 
   private def graphOf(triples: Seq[(Long, String, Long)]) =
-    GraphData.fromTuples(spark, triples)
+    TestKit.fromTuples(spark, triples)
 
   private def evalSet(g: repro.graph.LabeledGraph, q: String): Set[(Long, Long)] =
     TestKit.collectSet(RpqEval.eval(g, Rpq.parse(q)))

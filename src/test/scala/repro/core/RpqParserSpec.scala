@@ -67,9 +67,42 @@ class RpqParserSpec extends AnyFunSuite {
     assert(dnf(parse("(a|b)+")) == Seq(Plus(Alt(Lbl("a"), Lbl("b")))))
   }
   test("dnf keeps closure literal inside concatenation") {
-    assert(dnf(parse("(a|b).(c|d)+")).toSet ==
-      Set(Cat(Lbl("a"), Plus(Alt(Lbl("c"), Lbl("d")))),
-          Cat(Lbl("b"), Plus(Alt(Lbl("c"), Lbl("d"))))))
+    // The closure-free operand a|b stays whole: one batch unit, Pre = a|b.
+    assert(dnf(parse("(a|b).(c|d)+")) ==
+      Seq(Cat(Alt(Lbl("a"), Lbl("b")), Plus(Alt(Lbl("c"), Lbl("d"))))))
+  }
+  test("dnf distributes over an alternation that holds a closure") {
+    assert(dnf(parse("(a|b+).c+")) ==
+      Seq(Cat(Lbl("a"), Plus(Lbl("c"))), Cat(Plus(Lbl("b")), Plus(Lbl("c")))))
+  }
+  test("dnf drops duplicate clauses") {
+    assert(dnf(parse("a+|a+")) == Seq(Plus(Lbl("a"))))
+    assert(dnf(parse("(a+|a+).b+")) == Seq(Cat(Plus(Lbl("a")), Plus(Lbl("b")))))
+    assert(dnf(parse("a|b|a")) == Seq(Lbl("a"), Lbl("b")))
+  }
+  test("dnf rejects a query past the clause bound") {
+    val e = intercept[IllegalArgumentException](dnf(parse(Seq.fill(12)("(a+|b+)").mkString("."))))
+    assert(e.getMessage.contains("4096") && e.getMessage.contains(s"$MaxClauses"), e.getMessage)
+    assert(dnf(parse(Seq.fill(10)("(a+|b+)").mkString("."))).size == MaxClauses)
+  }
+  test("dnf counts clauses before building them") {
+    // 2^64 clauses: building even a fraction would not finish.
+    val e = intercept[IllegalArgumentException](dnf(parse(Seq.fill(64)("(a+|b+)").mkString("."))))
+    assert(e.getMessage.contains("at least"), e.getMessage)
+  }
+
+  // The DNF that distributes every alternation, as for closure-free input.
+  private def fullDnf(q: Rpq): Seq[Rpq] = q match {
+    case Alt(a, b) => fullDnf(a) ++ fullDnf(b)
+    case Cat(a, b) => for { x <- fullDnf(a); y <- fullDnf(b) } yield Cat(x, y)
+    case other     => Seq(other)
+  }
+  test("dnf of closure-free input distributes every alternation") {
+    val rnd = new scala.util.Random(7)
+    val closureFree = Iterator.continually(repro.TestKit.randomRpq(Seq("a", "b", "c"), 4, rnd))
+      .filterNot(_.hasClosure).take(200).toSeq
+    assert(closureFree.exists(q => fullDnf(q).size > 2))
+    for (q <- closureFree) assert(dnf(q) == fullDnf(q).distinct, s"for $q")
   }
   test("dnf of nested alternation flattens to all clauses") {
     assert(dnf(parse("a|(b|c)|d")).size == 4)
@@ -101,6 +134,10 @@ class RpqParserSpec extends AnyFunSuite {
     assert(bu.r == Lbl("b"))
     assert(bu.typ.contains('+'))
     assert(bu.post == Eps)
+  }
+  test("decompose keeps closure-free alternations whole: (a|b).c+.(a|b)") {
+    val Seq(clause) = dnf(parse("(a|b).c+.(a|b)"))
+    assert(decompose(clause) == BatchUnit(parse("a|b"), Lbl("c"), Some('+'), parse("a|b")))
   }
   test("decompose star closure") {
     val bu = decompose(parse("a.b*.c"))
@@ -164,7 +201,8 @@ class RpqParserSpec extends AnyFunSuite {
   // DNF preserves the language: check via the matcher on random words.
   private val dnfLangCases = Seq(
     "(a|b).c", "a.(b|c).d", "(a|b).(c|d)", "(a|b)+.c", "a.(b|c)+",
-    "(a.b|c)+", "a|b.c|d", "((a|b).c)+.d", "(a|b)*", "a.(b|c).(a|b)+")
+    "(a.b|c)+", "a|b.c|d", "((a|b).c)+.d", "(a|b)*", "a.(b|c).(a|b)+",
+    "(a|b).(c.d)+.(a|b)", "(a|b+).c+.(d|a)", "(a|ε).b+")
   for (q <- dnfLangCases)
     test(s"dnf preserves language of '$q'") {
       val r = parse(q)

@@ -1,11 +1,12 @@
 package repro.core
 
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.execution.exchange.{REPARTITION_BY_COL, ShuffleExchangeExec}
 import org.apache.spark.sql.execution.joins.BroadcastHashJoinExec
 import repro.{Oracle, SparkSpec, TestKit}
 import repro.TestKit.{tiny, tinyTriples}
 import repro.baselines.{FullCache, FullSharing, NoSharing}
-import repro.graph.{GraphData, Pairs}
+import repro.graph.Pairs
 import repro.harness.Metrics
 
 /** RTCSharing (Algorithms 1–2): correctness against the reference
@@ -16,7 +17,7 @@ class RtcSharingSpec extends SparkSpec {
   private implicit val s: org.apache.spark.sql.SparkSession = spark
 
   private def graphOf(triples: Seq[(Long, String, Long)]) =
-    GraphData.fromTuples(spark, triples)
+    TestKit.fromTuples(spark, triples)
 
   private def rtcEval(g: repro.graph.LabeledGraph, q: String,
                       cache: RtcCache = new RtcCache): Set[(Long, Long)] =
@@ -97,6 +98,34 @@ class RtcSharingSpec extends SparkSpec {
     assert(got == TestKit.bruteEval(tinyTriples, Rpq.parse("(((a.b)+)+)+")))
   }
 
+  // ------------------------------------------------- one unit per closure
+
+  /** An [[RtcCache]] that counts its `joinFrom` calls: one per batch unit
+    * with a closure.
+    */
+  private final class JoinCountingCache extends SharedCache[RtcData] {
+    private val rtc = new RtcCache
+    var joins = 0
+    def build(rg: DataFrame)(implicit spark: SparkSession): (RtcData, Long) = rtc.build(rg)(spark)
+    def joinFrom(preG: DataFrame, shared: RtcData): DataFrame = {
+      joins += 1
+      rtc.joinFrom(preG, shared)
+    }
+  }
+
+  test("(a|b).(b.c)+.(c|d) joins through the RTC once") {
+    val q = Rpq.parse("(a|b).(b.c)+.(c|d)")
+    val random = TestKit.letterTriples(numV = 10, numE = 34, numLabels = 4, seed = 1101)
+    val results = for ((g, triples) <- Seq(tiny -> tinyTriples, graphOf(random) -> random)) yield {
+      val cache = new JoinCountingCache
+      val got = TestKit.collectSet(Sharing.evaluate(g, q, cache))
+      assert(cache.joins == 1)
+      assert(got == TestKit.bruteEval(triples, q))
+      got
+    }
+    assert(results.last.nonEmpty, "the random graph has no answer to check")
+  }
+
   // ----------------------------------------------- physical plan of (7)–(9)
 
   test("plan: a small RTC joins by broadcast after one Pre_G repartition") {
@@ -134,7 +163,8 @@ class RtcSharingSpec extends SparkSpec {
     scala.collection.mutable.Map.empty[(Int, String), (Set[(Long, Long)], Set[(Long, Long)])]
 
   for (seed <- 1 to 3; q <- Seq("a.b+.c", "(a.b)+", "a.(b.c)+.d", "b+.a",
-                                "(a.b)*.b+.(a.b+.c)+", "a+|b.c");
+                                "(a.b)*.b+.(a.b+.c)+", "a+|b.c",
+                                "(a|b).(b.c)+.(c|d)", "(a|b+).c.d+");
        (path, limit) <- Seq("" -> Rtc.driverBudget, ", shuffle joins" -> 0L))
     test(s"RTCSharing ≡ FullSharing ≡ NoSharing: '$q' seed $seed$path") {
       val triples = TestKit.letterTriples(numV = 10, numE = 34, numLabels = 4, seed = 1100 + seed)
